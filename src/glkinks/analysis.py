@@ -63,8 +63,7 @@ def lambda_forbidden_interval(setup: DrivenSetup, case: str, branch) -> LambdaDo
 def _denominator(solution: KinkSolution, xi: np.ndarray) -> np.ndarray:
     # same piecewise-scaled denominator the profile evaluates with; the
     # scaling exp(-|z|) is positive, so sign changes are preserved
-    _, _, _, den = solution.profile._pieces(xi)
-    return den
+    return solution.profile.kernel(xi).den
 
 
 def _default_range(solution: KinkSolution) -> tuple[float, float]:

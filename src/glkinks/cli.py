@@ -17,6 +17,7 @@ parameter error, 3 domain error (poles, forbidden lambda, no crossing).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -83,6 +84,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -91,6 +102,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text!r}")
     if n < 2:
         raise argparse.ArgumentTypeError("grid needs n >= 2")
     if not lo < hi:
@@ -107,9 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, grid_default=None):
-        p.add_argument("--a1", type=float, help="linear coefficient (> 0)")
-        p.add_argument("--b1", type=float, help="cubic coefficient (> 0)")
-        p.add_argument("--epsilon", type=float, help="constant-drive shift")
+        p.add_argument("--a1", type=_finite_float, help="linear coefficient (> 0)")
+        p.add_argument("--b1", type=_finite_float, help="cubic coefficient (> 0)")
+        p.add_argument("--epsilon", type=_finite_float, help="constant-drive shift")
         p.add_argument("--case", choices=("I", "II"), help="driven factorization case")
         p.add_argument("--branch", choices=("+", "-"), help="front sign / lambda branch")
         p.add_argument("--index", type=int, help="basic kink index 1..4")
@@ -117,13 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--lambda",
             dest="lambda_list",
-            type=float,
+            type=_finite_float,
             action="append",
             default=[],
             metavar="LAM",
             help="Riccati parameter (repeatable)",
         )
-        p.add_argument("--xi0", type=float, default=0.0, help="profile center (default 0)")
+        p.add_argument("--xi0", type=_finite_float, default=0.0, help="profile center (default 0)")
         p.add_argument(
             "--grid",
             type=_parse_grid,
@@ -133,8 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", dest="output_path", help="output file (or directory for figure)")
         p.add_argument("--family", help="family tag; inferred from flags when omitted")
-        p.add_argument("--montroll-a", type=float, help="first cubic root for the unit kink")
-        p.add_argument("--montroll-b", type=float, help="second cubic root for the unit kink")
+        p.add_argument(
+            "--montroll-a", type=_finite_float, help="first cubic root for the unit kink"
+        )
+        p.add_argument(
+            "--montroll-b", type=_finite_float, help="second cubic root for the unit kink"
+        )
         p.add_argument("--fig", type=int, help="reference figure id 1..4")
 
     p_families = sub.add_parser("families", help="list constructible families")
@@ -153,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.add_argument(
         "--perturb-rho",
-        type=float,
+        type=_finite_float,
         default=0.0,
         help="test hook: offset added to every forced rho (makes the suite fail)",
     )
@@ -335,8 +352,8 @@ def cmd_families(args: argparse.Namespace) -> int:
 def _eval_rows(sol: KinkSolution, grid: tuple[float, float, int]) -> tuple[list[str], int]:
     lo, hi, n = grid
     xi = np.linspace(lo, hi, n)
-    singular = sol.profile.is_singular(xi)
-    values = sol.profile.value(xi)
+    kp = sol.profile.kernel(xi)
+    values, singular = kp.value, kp.singular
     rows = []
     for x, v, s in zip(xi, values, singular):
         if s:

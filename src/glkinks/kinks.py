@@ -6,7 +6,9 @@ exponential,
     psi(xi) = (n_u * u + n_1) / (d_u * u + d_1),    u = exp(rate*(xi - xi0)),
 
 which makes the analytic machinery uniform: derivatives, asymptotic limits
-and the (at most one) real pole all come from the same four coefficients.
+and the (at most one) real pole all come from the same four coefficients,
+and one kernel pass (MobiusExpProfile.kernel) evaluates value, derivatives
+and singular mask together from a single exponential.
 The families are
 
   * the two-root kink of the unit cubic (montroll_solution),
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,13 +61,42 @@ UNDRIVEN_RHO_SIGNS = {1: 1, 2: -1, 3: -1, 4: 1}
 VARIANT_SIGNS = {"first": -1.0, "second": 1.0}
 
 
+class ProfilePass:
+    """What one kernel pass of a MobiusExpProfile yields over a set of points.
+
+    Each array has the shape of the points.  derivatives holds psi', psi'',
+    ... up to the order asked for.  den is the denominator in the
+    overflow-free scaling the value uses: off by a positive factor, so its
+    sign is the true denominator's.  singular is formed from the pass's
+    numerator and den when first read: a bisection step never reads it, and
+    on a one-point grid it would cost a fifth of the call.
+    """
+
+    def __init__(self, value, derivatives, den, num=None):
+        self.value = value
+        self.derivatives = derivatives
+        self.den = den
+        # None for a constant profile, which has no singular point
+        self._num = num
+
+    @cached_property
+    def singular(self) -> np.ndarray:
+        """|den| < SINGULAR_TOL * (1 + |num|)."""
+        if self._num is None:
+            return np.zeros(self.den.shape, dtype=bool)
+        return SINGULAR_TOL * (1.0 + np.abs(self._num)) > np.abs(self.den)
+
+
 @dataclass(frozen=True)
 class MobiusExpProfile:
     """(n_u*u + n_1)/(d_u*u + d_1) with u = exp(rate*(xi - xi0)).
 
-    Evaluation always feeds the exponential its nonpositive argument (the
-    reciprocal form is used on the growing side), so no intermediate can
-    overflow no matter how far out xi is.
+    kernel() is the one evaluation path: a single exponential per call
+    yields the value, the derivatives up to order 2, the singular mask and
+    the denominator together.  value, first_derivative, second_derivative
+    and is_singular are views of it.  The exponential is always fed its
+    nonpositive argument (the reciprocal form is used on the growing side),
+    so no intermediate can overflow no matter how far out xi is.
     """
 
     num_u: float
@@ -86,53 +118,69 @@ class MobiusExpProfile:
             return self.num_1 / self.den_1
         return self.num_u / self.den_u
 
-    def _pieces(self, xi):
-        """Decaying exponential e and the matching (num, den) arrays."""
-        z = self.rate * (np.asarray(xi, dtype=float) - self.xi0)
+    def kernel(self, xi, order: int = 0) -> ProfilePass:
+        """Value, derivatives up to order (0-2), singular mask and denominator at xi.
+
+        One exponential serves all four.  At singular points value and
+        derivatives are whatever the division gives (inf or nan), without
+        warnings.  Constant profiles report their constant, zero
+        derivatives and no singular point.
+        """
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order}")
+        x = np.asarray(xi, dtype=float)
+        z = (x.reshape(-1) - self.xi0) * self.rate
         grow = z > 0.0
-        with np.errstate(under="ignore"):
-            e = np.exp(-np.abs(z))
-        num = np.where(grow, self.num_u + self.num_1 * e, self.num_u * e + self.num_1)
-        den = np.where(grow, self.den_u + self.den_1 * e, self.den_u * e + self.den_1)
-        return e, grow, num, den
+        # Arrays are dropped as soon as they are dead: on a large grid each
+        # full-size array alive at the peak costs fresh pages.  Nothing is
+        # updated in place, which on a one-point grid costs more than a new
+        # array.
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
+            e = np.exp(np.copysign(z, -1.0))
+            del z
+            # (u, 1) scaled by e = exp(-|z|) is (a, b) = (e, 1) where u <= 1
+            # and (1, e) where u > 1, so nothing overflows however far out xi is
+            a = np.maximum(e, grow)
+            b = np.maximum(e, ~grow)
+            if order == 0:
+                del e
+            num = a * self.num_u + b * self.num_1
+            den = a * self.den_u + b * self.den_1
+            # d_1 - d_u*u in the scaling of den, for psi''
+            inner = b * self.den_1 - a * self.den_u if order == 2 else None
+            del a, b
+            w = self.num_u * self.den_1 - self.num_1 * self.den_u
+            derivatives = ()
+            if w == 0.0:
+                value = np.full(den.shape, self._constant_value())
+                derivatives = tuple(np.zeros(den.shape) for _ in range(order))
+                num = None
+            else:
+                value = num / den
+                if order >= 1:
+                    den2 = den * den
+                    derivatives = (e * (self.rate * w) / den2,)
+                if order == 2:
+                    derivatives += (e * (self.rate * self.rate * w) * inner / (den2 * den),)
+        if x.ndim != 1:
+            value, den = value.reshape(x.shape), den.reshape(x.shape)
+            num = None if num is None else num.reshape(x.shape)
+            derivatives = tuple(d.reshape(x.shape) for d in derivatives)
+        return ProfilePass(value, derivatives, den, num)
 
     def value(self, xi):
         """Profile value; elementwise over arrays, no singularity checks."""
-        if self._is_constant():
-            z = np.asarray(xi, dtype=float)
-            return np.full(z.shape, self._constant_value())
-        _, _, num, den = self._pieces(xi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den
+        return self.kernel(xi).value
 
     def first_derivative(self, xi):
-        if self._is_constant():
-            return np.zeros(np.asarray(xi, dtype=float).shape)
-        w = self.num_u * self.den_1 - self.num_1 * self.den_u
-        e, _, _, den = self._pieces(xi)
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            return self.rate * w * e / (den * den)
+        return self.kernel(xi, 1).derivatives[0]
 
     def second_derivative(self, xi):
-        if self._is_constant():
-            return np.zeros(np.asarray(xi, dtype=float).shape)
-        w = self.num_u * self.den_1 - self.num_1 * self.den_u
-        e, grow, _, den = self._pieces(xi)
-        # d1 - d0*u in the two exponent conventions, scaled by the same e
-        inner = np.where(
-            grow,
-            self.den_1 * e - self.den_u,
-            self.den_1 - self.den_u * e,
-        )
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            return self.rate * self.rate * w * e * inner / (den * den * den)
+        return self.kernel(xi, 2).derivatives[1]
 
     def is_singular(self, xi):
         """Elementwise test |den| < SINGULAR_TOL * (1 + |num|)."""
-        if self._is_constant():
-            return np.zeros(np.asarray(xi, dtype=float).shape, dtype=bool)
-        _, _, num, den = self._pieces(xi)
-        return np.abs(den) < SINGULAR_TOL * (1.0 + np.abs(num))
+        return self.kernel(xi).singular
 
     def pole_xis(self) -> tuple[float, ...]:
         """Real poles, as xi values; at most one exists."""
@@ -208,17 +256,16 @@ class KinkSolution:
             If any requested point is within SINGULAR_TOL of a pole.
         """
         arr = np.asarray(xi, dtype=float)
-        bad = self.profile.is_singular(arr)
-        if np.any(bad):
-            offender = float(np.atleast_1d(arr)[np.atleast_1d(bad)][0])
+        kp = self.profile.kernel(arr)
+        if np.any(kp.singular):
+            offender = _first_offender(arr, kp.singular)
             raise SingularPoint(
                 f"{self.family} profile evaluated at a pole near xi={offender}",
                 xi=offender,
             )
-        vals = self.profile.value(arr)
         if arr.ndim == 0:
-            return float(vals)
-        return vals
+            return float(kp.value)
+        return kp.value
 
     __call__ = evaluate
 
@@ -566,7 +613,7 @@ def undriven_rho_pairing(a1: float = 1.0, b1: float = 1.0) -> dict[int, int]:
         psi = sol.profile.value(xi)
         dpsi = (sol.profile.value(xi + h) - sol.profile.value(xi - h)) / (2.0 * h)
         ddpsi = (sol.profile.value(xi + h) - 2.0 * psi + sol.profile.value(xi - h)) / (h * h)
-        base = ddpsi - b1 * psi**3 + a1 * psi
+        base = ddpsi - b1 * (psi * psi * psi) + a1 * psi
         best_sign, best_resid = 0, math.inf
         for sign in (1, -1):
             resid = float(np.max(np.abs(base + sign * rho_mag * dpsi)))

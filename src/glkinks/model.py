@@ -2,7 +2,7 @@
 
 The traveling-frame equation treated throughout the package is
 
-    psi'' + rho*psi' - b1*psi**3 + a1*psi + gamma1*eta = 0,
+    psi'' + rho*psi' - b1*psi^3 + a1*psi + gamma1*eta = 0,
 
 with a1 > 0, b1 > 0, rho the friction coefficient and gamma1*eta a constant
 drive.  The driven case is handled through the shift phi = psi + epsilon with

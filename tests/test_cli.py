@@ -154,6 +154,29 @@ def test_eval_rejects_complex_delta(capsys):
     assert "complex" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--epsilon", ["--a1", "3", "--b1", "0.7", "--epsilon", "nan", "--case", "I",
+                       "--branch", "+", "--grid", "0:1:3"]),
+        ("--a1", ["--a1", "inf", "--b1", "1", "--index", "1", "--grid", "0:1:3"]),
+        ("--xi0", ["--a1", "1", "--b1", "1", "--index", "1", "--xi0", "nan",
+                   "--grid", "0:1:3"]),
+        ("--lambda", ["--a1", "3", "--b1", "0.7", "--epsilon", "2.2772", "--case", "I",
+                      "--branch", "+", "--lambda", "nan", "--grid", "0:1:3"]),
+        ("--grid", ["--a1", "1", "--b1", "1", "--index", "1", "--grid", "-inf:1:3"]),
+    ],
+)
+def test_eval_rejects_non_finite_input(capsys, flag, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument {flag}:" in captured.err
+    assert "finite" in captured.err
+
+
 def test_eval_bad_grid_is_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--a1", "1", "--b1", "1", "--index", "1", "--grid", "0:1:1"])

@@ -106,18 +106,38 @@ def test_pole_location_and_flags():
     den_1=st.floats(-3.0, 3.0),
     rate=st.floats(-3.0, 3.0),
     x=st.floats(-4.0, 4.0),
+    constant=st.booleans(),
 )
-def test_first_derivative_matches_finite_difference(num_u, num_1, den_u, den_1, rate, x):
+def test_first_derivative_matches_finite_difference(
+    num_u, num_1, den_u, den_1, rate, x, constant
+):
     assume(abs(den_u) + abs(den_1) > 1e-3)
+    if constant:
+        num_u, num_1 = 2.0 * den_u, 2.0 * den_1  # psi == 2 exactly
     p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, 0.0)
     h = 1e-5
     pts = np.array([x - h, x, x + h])
+    # one order-2 pass gives what the four single-purpose views give, bit for bit
+    one_pass = p.kernel(pts, 2)
     vals = p.value(pts)
+    d1 = p.first_derivative(pts)
+    np.testing.assert_array_equal(one_pass.value, vals)
+    np.testing.assert_array_equal(one_pass.derivatives[0], d1)
+    np.testing.assert_array_equal(one_pass.derivatives[1], p.second_derivative(pts))
+    np.testing.assert_array_equal(one_pass.singular, p.is_singular(pts))
+    if constant:
+        assert np.all(vals == 2.0) and not np.any(one_pass.singular)
+        assert np.all(one_pass.derivatives[0] == 0.0) and np.all(one_pass.derivatives[1] == 0.0)
     assume(np.all(np.isfinite(vals)) and np.max(np.abs(vals)) < 1e2)
     fd = (vals[2] - vals[0]) / (2.0 * h)
     exact = float(p.first_derivative(x))
     scale = 1.0 + abs(fd) + float(np.max(np.abs(vals)))
     assert exact == pytest.approx(fd, abs=1e-4 * scale)
+    # psi'' against centered differences of the exact psi'
+    assume(np.all(np.isfinite(d1)) and np.max(np.abs(d1)) < 1e2)
+    fd2 = (d1[2] - d1[0]) / (2.0 * h)
+    scale2 = 1.0 + abs(fd2) + float(np.max(np.abs(d1)))
+    assert float(one_pass.derivatives[1][1]) == pytest.approx(fd2, abs=1e-4 * scale2)
 
 
 # ------------------------------------------------------------ basic kinks
