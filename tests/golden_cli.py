@@ -13,7 +13,9 @@ an entry lives in tests/golden/<name>.<ext>:
 test_golden.py runs the same roster.  To record the current outputs again,
 from the root of a checkout:
 
-    PYTHONPATH=src python tests/golden_cli.py
+    PYTHONPATH=src python tests/golden_cli.py [NAME ...]
+
+With names, only those entries are recorded; without, every entry.
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ _UNIT = ["--a1", "1", "--b1", "1"]
 _FIG13 = ["--a1", "3", "--b1", "0.7"]
 _FIG34 = ["--a1", "0.7", "--b1", "3"]
 _GRID = ["--grid", "-10:10:201"]
+
+# Non-unit coefficients for the delay curve near both ends of the forbidden
+# window [B, 0): lambda = B*(1 + 10**j) below B and -B*10**j above 0, for
+# j = -8..3.  B is lambda_forbidden_interval(...).bound_value for this set.
+_DELAY_SET = ["--a1", "2.5", "--b1", "0.4", "--epsilon", "0.6", "--case", "II",
+              "--branch", "+", "--xi0", "0.3"]
+_DELAY_BOUND = -0.3235400243837037
+_DELAY_LAMBDAS = [f"--lambda={lam!r}" for j in range(-8, 4)
+                  for lam in (_DELAY_BOUND * (1.0 + 10.0**j), -_DELAY_BOUND * 10.0**j)]
 
 
 def _eval(name, *flags):
@@ -65,6 +76,7 @@ ROSTER = [
     _eval("lambda-zero-field-second-", *_UNIT, "--branch", "-", "--variant", "second",
           "--lambda", "1"),
     *[(f"delay-fig{k}", ["delay", "--fig", str(k)], "bytes", 0) for k in (1, 2, 3, 4)],
+    ("delay-window-ends", ["delay", *_DELAY_SET, *_DELAY_LAMBDAS], "bytes", 0),
     ("families-unit", ["families", *_UNIT], "bytes", 0),
     ("families-epsilon", ["families", *_FIG13, "--epsilon", "2.2772"], "bytes", 0),
     *[(f"figure-fig{k}", ["figure", "--fig", str(k)], "figure", 0) for k in (1, 2, 3, 4)],
@@ -103,18 +115,26 @@ def verify_skeleton(text: str) -> list[str]:
     return [line.split(":", 1)[0] for line in lines[:-1]] + lines[-1:]
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = set(names) - {entry[0] for entry in ROSTER}
+    if unknown:
+        print(f"unknown roster names: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
     os.makedirs(GOLDEN_DIR, exist_ok=True)
+    recorded = 0
     for name, argv, kind, code in ROSTER:
+        if names and name not in names:
+            continue
         rc, text = run(argv, kind)
         if rc != code:
             print(f"{name}: exit {rc}, expected {code}", file=sys.stderr)
             return 1
         with open(golden_path(name, kind), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    print(f"wrote {len(ROSTER)} golden files to {GOLDEN_DIR}")
+        recorded += 1
+    print(f"wrote {recorded} golden files to {GOLDEN_DIR}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
