@@ -6,6 +6,18 @@ midpoint.  For each driven family a window of lambda values produces a pole
 instead of a kink.  This module computes that window in closed form,
 locates poles and midpoints empirically by bisection, and assembles the
 midpoint-versus-lambda delay curve.
+
+Poles and midpoints are found the same way: a dense scan for sign
+changes, then bisection of each bracket to an absolute 1e-10.  A profile
+call costs about the same on 1 point as on 16 (numpy's per-call overhead
+dominates), so the bisection evaluates a subtree at a time: the midpoints
+of the next four halvings of [lo, hi], 15 points built with the same
+0.5 * (lo + hi) a plain bisection uses, plus lo itself, in one call.  It
+then walks the subtree with the plain rules (stop on an exact zero or a
+bracket narrower than the tolerance, keep the half whose ends differ in
+sign, at most 200 halvings).  The midpoints and decisions are those of
+one-point bisection, so every root is bit-identical to it, at a quarter
+of the profile calls.
 """
 
 from __future__ import annotations
@@ -22,6 +34,9 @@ from .model import AdmissibleRange, DrivenSetup, _as_case, _as_sign
 
 _SCAN_POINTS = 10_001
 _BISECT_TOL = 1e-10
+_MAX_HALVINGS = 200
+# halvings per profile call in _bisect: 2**4 - 1 = 15 midpoints
+_SUBTREE_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -60,31 +75,76 @@ def lambda_forbidden_interval(setup: DrivenSetup, case: str, branch) -> LambdaDo
     return LambdaDomain(family=f"lambda-{c}{tag}", forbidden=forbidden, bound_value=bound)
 
 
-def _denominator(solution: KinkSolution, xi: np.ndarray) -> np.ndarray:
-    # same piecewise-scaled denominator the profile evaluates with; the
-    # scaling exp(-|z|) is positive, so sign changes are preserved
-    return solution.profile.kernel(xi).den
-
-
 def _default_range(solution: KinkSolution) -> tuple[float, float]:
     w = 1.0 / solution.width_inverse if solution.width_inverse > 0.0 else 1.0
     return (solution.xi0 - 40.0 * w, solution.xi0 + 40.0 * w)
 
 
+def _subtree(lo: float, hi: float) -> list[float]:
+    """[lo, hi] halved _SUBTREE_LEVELS times: 2**levels + 1 edges in order.
+
+    Every interior edge is 0.5 * (left + right) of the two edges it splits,
+    exactly the midpoint a one-point bisection computes for that bracket.
+    """
+    edges = [lo, hi]
+    for _ in range(_SUBTREE_LEVELS):
+        out = [lo]
+        for a, b in zip(edges, edges[1:]):
+            out += (0.5 * (a + b), b)
+        edges = out
+    return edges
+
+
 def _bisect(f, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    """Sign change of f in [lo, hi] by bisection, a subtree per call of f.
+
+    f maps a 1-D float array to an array of the same shape.  Each call
+    evaluates lo and the midpoints of the next _SUBTREE_LEVELS halvings;
+    the walk through them takes the steps and decisions of a one-point
+    bisection, so the result is bit-identical to it.
+    """
+    flo = None
+    steps = 0
+    while steps < _MAX_HALVINGS:
         if hi - lo < tol:
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) != (fmid < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
+            return 0.5 * (lo + hi)
+        edges = _subtree(lo, hi)
+        fx = f(np.array(edges[:-1])).tolist()
+        if flo is None:
+            flo = fx[0]
+        # edge indices of the current bracket; it halves once per step
+        left, right = 0, len(edges) - 1
+        while right - left > 1 and steps < _MAX_HALVINGS:
+            k = (left + right) // 2
+            mid = edges[k]
+            if hi - lo < tol:
+                return mid
+            steps += 1
+            fmid = fx[k]
+            if fmid == 0.0:
+                return mid
+            if (flo < 0.0) != (fmid < 0.0):
+                right, hi = k, mid
+            else:
+                left, lo, flo = k, mid, fmid
     return 0.5 * (lo + hi)
+
+
+def _sign_change_roots(f, lo, hi, is_jump=None) -> list[float]:
+    """Scan f on _SCAN_POINTS points of [lo, hi]; exact zeros plus bisected flips.
+
+    A flip whose bracket is_jump(a, b) reports as a jump is skipped.
+    """
+    xi = np.linspace(float(lo), float(hi), _SCAN_POINTS)
+    sgn = np.sign(f(xi))
+    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]
+    exact = np.nonzero(sgn == 0.0)[0]
+    roots = [float(xi[i]) for i in exact]
+    for i in flips:
+        a, b = float(xi[i]), float(xi[i + 1])
+        if is_jump is None or not is_jump(a, b):
+            roots.append(_bisect(f, a, b))
+    return roots
 
 
 def singularity_scan(solution: KinkSolution, xi_range=None) -> tuple[float, ...]:
@@ -92,22 +152,13 @@ def singularity_scan(solution: KinkSolution, xi_range=None) -> tuple[float, ...]
 
     Scans a dense grid over xi_range (default +-40 widths around xi0) and
     refines each sign change by bisection to 1e-10.  Cross-checks the
-    singularities the constructor reported.
+    singularities the constructor reported.  The denominator is the one
+    the profile evaluates with, in its overflow-free scaling: off by a
+    positive factor, so its sign changes are the true ones.
     """
     lo, hi = xi_range if xi_range is not None else _default_range(solution)
-    xi = np.linspace(float(lo), float(hi), _SCAN_POINTS)
-    den = _denominator(solution, xi)
-    sgn = np.sign(den)
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]
-    exact = np.nonzero(sgn == 0.0)[0]
-
-    def f(x):
-        return float(_denominator(solution, np.asarray([x]))[0])
-
-    found = [float(xi[i]) for i in exact]
-    for i in flips:
-        found.append(_bisect(f, float(xi[i]), float(xi[i + 1])))
-    return tuple(sorted(found))
+    profile = solution.profile
+    return tuple(sorted(_sign_change_roots(lambda x: profile.kernel(x).den, lo, hi)))
 
 
 @dataclass(frozen=True)
@@ -133,22 +184,13 @@ def switching_midpoint(solution: KinkSolution, xi_range=None) -> MidpointCrossin
         raise NoCrossing(f"{solution.family} has no distinct finite asymptotic levels")
     level = 0.5 * (left + right)
     lo, hi = xi_range if xi_range is not None else _default_range(solution)
-    xi = np.linspace(float(lo), float(hi), _SCAN_POINTS)
-    vals = solution.profile.value(xi) - level
-    sgn = np.sign(vals)
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]
-    exact = np.nonzero(sgn == 0.0)[0]
+    profile = solution.profile
 
-    def f(x):
-        return float(solution.profile.value(np.asarray([x]))[0]) - level
-
-    crossings = [float(xi[i]) for i in exact]
-    for i in flips:
-        a, b = float(xi[i]), float(xi[i + 1])
+    def is_jump(a, b):
         # a pole on either endpoint makes the flip a jump as well
-        if any(a <= pole <= b for pole in solution.singularities):
-            continue
-        crossings.append(_bisect(f, a, b))
+        return any(a <= pole <= b for pole in solution.singularities)
+
+    crossings = _sign_change_roots(lambda x: profile.value(x) - level, lo, hi, is_jump)
     if not crossings:
         raise NoCrossing(f"{solution.family} never reaches its midpoint level in range")
     return MidpointCrossing(xi_mid=max(crossings), n_crossings=len(crossings))

@@ -48,8 +48,6 @@ from .model import (
     ModelParams,
     driven_setup,
     epsilon_admissible_interval,
-    rho_case1,
-    rho_case2,
 )
 from .verify import compare, integrate_second_order, residual
 
@@ -260,7 +258,9 @@ def _build_solution(cfg: RunConfig) -> KinkSolution:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _solution_comment_pairs(sol: KinkSolution, cfg: RunConfig) -> list[tuple[str, str]]:
+def _solution_comment_pairs(
+    sol: KinkSolution, grid: tuple[float, float, int]
+) -> list[tuple[str, str]]:
     pairs = [
         ("family", sol.family),
         ("a1", _fmt(sol.params.a1)),
@@ -278,7 +278,7 @@ def _solution_comment_pairs(sol: KinkSolution, cfg: RunConfig) -> list[tuple[str
             ("width_inverse", _fmt(sol.width_inverse)),
             ("left_limit", _fmt(sol.left_limit)),
             ("right_limit", _fmt(sol.right_limit)),
-            ("grid", f"{_fmt(cfg.grid[0])}:{_fmt(cfg.grid[1])}:{cfg.grid[2]}"),
+            ("grid", f"{_fmt(grid[0])}:{_fmt(grid[1])}:{grid[2]}"),
         ]
     )
     return pairs
@@ -330,7 +330,7 @@ def cmd_families(args: argparse.Namespace) -> int:
         for case in ("I", "II"):
             for branch in ("+", "-"):
                 sign = 1 if branch == "+" else -1
-                rho = rho_case1(setup, sign) if case == "I" else rho_case2(setup, sign)
+                rho = setup.rho(case, sign)
                 window = epsilon_admissible_interval(cfg.a1, cfg.b1, case, sign)
                 verdict = "admissible" if window.contains(cfg.epsilon) else "rho <= 0"
                 sol = driven_solution(setup, case, branch)
@@ -370,7 +370,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if n_singular == len(rows):
         print("error: every grid point is singular", file=sys.stderr)
         return _DOMAIN_ERROR
-    lines = _csv_lines(_solution_comment_pairs(sol, cfg), "xi,psi,is_singular", rows)
+    lines = _csv_lines(_solution_comment_pairs(sol, cfg.grid), "xi,psi,is_singular", rows)
     _write_lines(cfg.output_path, lines)
     return 0
 
@@ -386,33 +386,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
     out_dir = cfg.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
     setup = driven_setup(spec.a1, spec.b1, spec.epsilon)
-    sign = 1 if spec.branch == "+" else -1
-    rho = rho_case1(setup, sign) if spec.case == "I" else rho_case2(setup, sign)
+    rho = setup.rho(spec.case, spec.branch)
 
     written = []
     for lam_str in spec.lambdas:
         sol = lambda_driven_solution(setup, spec.case, spec.branch, float(lam_str), spec.xi0)
-        grid_cfg = RunConfig(
-            command="figure",
-            a1=spec.a1,
-            b1=spec.b1,
-            epsilon=spec.epsilon,
-            case=spec.case,
-            branch=spec.branch,
-            index=None,
-            variant=None,
-            lambda_list=(float(lam_str),),
-            xi0=spec.xi0,
-            grid=spec.grid,
-            output_path=None,
-            family=None,
-            montroll_a=None,
-            montroll_b=None,
-            fig=spec.fig_id,
-            perturb_rho=0.0,
-        )
         rows, _ = _eval_rows(sol, spec.grid)
-        pairs = [("fig", str(spec.fig_id))] + _solution_comment_pairs(sol, grid_cfg)
+        pairs = [("fig", str(spec.fig_id))] + _solution_comment_pairs(sol, spec.grid)
         name = f"fig{spec.fig_id}_lambda_{lam_str}.csv"
         _write_lines(os.path.join(out_dir, name), _csv_lines(pairs, "xi,psi,is_singular", rows))
         written.append(name)

@@ -167,13 +167,8 @@ def factor_driven(setup: DrivenSetup, case: str = "I", sign=1) -> FactorPair:
     c = _as_case(case)
     s = _as_sign(sign)
     sb = math.sqrt(setup.b1)
-    sqrt_delta = math.sqrt(setup.delta_eps)
     r_in_f1 = setup.r_plus if c == "I" else setup.r_minus
     r_in_f2 = setup.r_minus if c == "I" else setup.r_plus
-    if c == "I":
-        rho = s * (setup.r_minus - sqrt_delta) / SQRT2
-    else:
-        rho = s * (setup.r_plus + sqrt_delta) / SQRT2
     eps = setup.epsilon
     return FactorPair(
         f1_slope=-s * sb / SQRT2,
@@ -181,7 +176,7 @@ def factor_driven(setup: DrivenSetup, case: str = "I", sign=1) -> FactorPair:
         f2_slope=s * SQRT2 * sb,
         f2_offset=-s * SQRT2 * r_in_f2,
         a1_factor=s,
-        forced_rho=rho,
+        forced_rho=setup.rho(c, s),
         f_coeffs=(-setup.b1, 3.0 * setup.b1 * eps, setup.a1 - 3.0 * setup.b1 * eps * eps),
         label=f"driven-{c}{'+' if s > 0 else '-'}",
     )

@@ -42,8 +42,6 @@ from .model import (
     ModelParams,
     _as_case,
     _as_sign,
-    rho_case1,
-    rho_case2,
     undriven_rho,
     validate_params,
 )
@@ -360,7 +358,7 @@ def driven_solution(setup: DrivenSetup, case: str, sign, xi0: float = 0.0) -> Ki
     sb = math.sqrt(setup.b1)
     eps = setup.epsilon
     rate = -s * r / SQRT2
-    rho = rho_case1(setup, s) if c == "I" else rho_case2(setup, s)
+    rho = setup.rho(c, s)
     profile = MobiusExpProfile(
         num_u=0.0 - eps * 1.0,
         num_1=2.0 * r / sb - eps * 2.0,
@@ -382,6 +380,12 @@ def driven_solution(setup: DrivenSetup, case: str, sign, xi0: float = 0.0) -> Ki
     )
 
 
+def _check_lambda(lam: float):
+    # lambda = 0 collapses the family to a constant, not a kink
+    if not math.isfinite(lam) or lam == 0.0:
+        raise ValueError(f"lambda must be finite and nonzero, got {lam!r}")
+
+
 def lambda_zero_field_solution(
     params: ModelParams, branch, variant: str, lam: float, xi0: float = 0.0
 ) -> KinkSolution:
@@ -392,9 +396,11 @@ def lambda_zero_field_solution(
     "first" selects the families that approach the poled kinks as
     lambda -> inf, "second" the ones approaching the smooth kinks.  After
     clearing the shared factor between the two denominators the profile is
-    again a single Moebius-exponential form.
+    again a single Moebius-exponential form.  Raises ValueError for a zero
+    or non-finite lambda.
     """
     validate_params(params)
+    _check_lambda(lam)
     if variant not in VARIANT_SIGNS:
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
     bsign = _as_sign(branch)
@@ -435,7 +441,9 @@ def lambda_driven_solution(
     family's forbidden window (between 0 and the signed bound
     sign(branch)*sqrt(b1)/(2r)); outside it the kink is smooth and
     approaches the particular constant-drive kink as lambda -> inf.
+    Raises ValueError for a zero or non-finite lambda.
     """
+    _check_lambda(lam)
     c = _as_case(case)
     s = _as_sign(branch)
     r = setup.rate(c)
@@ -450,7 +458,7 @@ def lambda_driven_solution(
         rate = -alpha_r
         num = (r * (2.0 * lam * r + sb) / sb, 0.0)
         den = (2.0 * lam * r + sb, lam * r)
-    rho = rho_case1(setup, s) if c == "I" else rho_case2(setup, s)
+    rho = setup.rho(c, s)
     profile = MobiusExpProfile(
         num[0] - eps * den[0], num[1] - eps * den[1], den[0], den[1], rate, xi0
     )

@@ -101,6 +101,10 @@ class DrivenSetup:
         """r_plus for case 'I', r_minus for case 'II'."""
         return self.r_plus if _as_case(case) == "I" else self.r_minus
 
+    def rho(self, case: str, sign) -> float:
+        """Forced friction: rho_case1 for case 'I', rho_case2 for case 'II'."""
+        return rho_case1(self, sign) if _as_case(case) == "I" else rho_case2(self, sign)
+
 
 def _as_case(case: str) -> str:
     c = str(case).upper()

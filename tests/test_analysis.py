@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from glkinks.analysis import (
+    _bisect,
     delay_curve,
     lambda_forbidden_interval,
     singularity_scan,
@@ -16,6 +19,7 @@ from glkinks.analysis import (
 from glkinks.errors import NoCrossing, NonPositiveRate
 from glkinks.figures import FIGURES
 from glkinks.kinks import (
+    MobiusExpProfile,
     driven_solution,
     lambda_driven_solution,
     lambda_zero_field_solution,
@@ -191,3 +195,138 @@ def test_delay_curve_input_validation():
         delay_curve(make, (1.0, 1.0), particular)
     with pytest.raises(ValueError):
         delay_curve(make, (2.0, 1.0), particular)
+
+
+# ------------------------------------------------------------- bisection
+
+
+def _plain_bisect(f, lo, hi, tol=1e-10):
+    """One-point-per-call bisection: the result _bisect must reproduce bit for bit."""
+
+    def f1(x):
+        return f(np.array([x])).tolist()[0]
+
+    flo = f1(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < tol:
+            return mid
+        fmid = f1(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0.0) != (fmid < 0.0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(len(x))
+        return f(x)
+
+    return g, calls
+
+
+_coef = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    coefs=st.tuples(_coef, _coef, _coef, _coef),
+    rate=st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
+    xi0=st.floats(-5.0, 5.0),
+    use_den=st.booleans(),
+    level=_coef,
+    lo=st.floats(-20.0, 20.0),
+    log_width=st.floats(-12.0, 2.0),
+    tol=st.sampled_from([1e-10, 1e-14, 1e-3, 0.0]),
+)
+def test_bisect_matches_one_point_bisection(
+    coefs, rate, xi0, use_den, level, lo, log_width, tol
+):
+    assume(coefs[2] != 0.0 or coefs[3] != 0.0)
+    profile = MobiusExpProfile(*coefs, rate, xi0)
+    if use_den:
+        f = lambda x: profile.kernel(x).den  # noqa: E731
+    else:
+        f = lambda x: profile.value(x) - level  # noqa: E731
+    hi = lo + 10.0**log_width
+    want = _plain_bisect(f, lo, hi, tol)
+    assert _bisect(f, lo, hi, tol).hex() == want.hex()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    a=st.integers(-50, 50),
+    e=st.integers(-20, 5),
+    k=st.integers(1, 2**12 - 1),
+)
+def test_bisect_exact_zero_on_a_midpoint(a, e, k):
+    # dyadic bracket and root, so the root is itself one of the midpoints,
+    # reached while the bracket is still wider than the tolerance
+    lo, hi = float(a), a + 2.0**e
+    root = a + k * 2.0 ** (e - 12)
+    f = lambda x: x - root  # noqa: E731
+    got = _bisect(f, lo, hi)
+    assert got == root
+    assert got.hex() == _plain_bisect(f, lo, hi).hex()
+
+
+def test_bisect_bracket_already_below_tolerance():
+    f, calls = _counted(lambda x: x - 1.0)
+    lo, hi = 1.0 - 3e-11, 1.0 + 4e-11
+    assert _bisect(f, lo, hi).hex() == (0.5 * (lo + hi)).hex()
+    assert calls == []
+
+
+def test_bisect_stops_after_200_halvings():
+    # 200 halvings of [0, 1e300] leave a bracket far wider than 1e-10,
+    # and with tol = 0 the bracket [1, 2] stops shrinking at one ulp; x*x - 2
+    # has no exact zero among the floats
+    cases = ((0.0, 1e300, 1e-10, lambda x: x - 1.0), (1.0, 2.0, 0.0, lambda x: x * x - 2.0))
+    for lo, hi, tol, g in cases:
+        f, calls = _counted(g)
+        want = _plain_bisect(f, lo, hi, tol)
+        calls.clear()
+        assert _bisect(f, lo, hi, tol).hex() == want.hex()
+        assert len(calls) == 50 and set(calls) == {16}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = MobiusExpProfile.kernel
+
+    def counted(self, xi, order=0):
+        calls.append(np.size(xi))
+        return kernel(self, xi, order)
+
+    monkeypatch.setattr(MobiusExpProfile, "kernel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_scans_make_few_kernel_calls(fig_id, kernel_calls):
+    # one dense scan plus one call per four halvings of each bracket; a
+    # one-point bisection took 27-29 calls for the same scans
+    spec, setup = _setup_for(fig_id)
+    solutions = [driven_solution(setup, spec.case, spec.branch)] + [
+        lambda_driven_solution(setup, spec.case, spec.branch, float(lam))
+        for lam in spec.lambdas
+    ]
+    for sol in solutions:
+        kernel_calls.clear()
+        switching_midpoint(sol)
+        assert 2 <= len(kernel_calls) <= 10
+    bound = lambda_forbidden_interval(setup, spec.case, spec.branch).bound_value
+    for lam in (0.1 * bound, 0.5 * bound, 0.9 * bound):
+        kernel_calls.clear()
+        poles = singularity_scan(
+            lambda_driven_solution(setup, spec.case, spec.branch, lam)
+        )
+        assert len(poles) == 1
+        assert 2 <= len(kernel_calls) <= 10

@@ -282,6 +282,24 @@ def test_delay_reference_curve(capsys):
     assert all(row.endswith(",0") for row in rows[1:])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--a1", "3", "--b1", "0.7", "--epsilon", "2.2772", "--case", "I",
+         "--branch", "+", "--lambda", "0", "--grid", "-3:3:7"],
+        ["eval", "--a1", "1", "--b1", "1", "--branch", "+", "--variant", "first",
+         "--lambda", "0", "--grid", "-3:3:7"],
+        ["delay", "--fig", "1", "--lambda", "0", "--lambda", "10"],
+    ],
+    ids=["eval-lambda-driven", "eval-lambda-zero-field", "delay"],
+)
+def test_zero_lambda_is_usage_error(capsys, argv):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "lambda must be finite and nonzero" in err
+
+
 def test_delay_rejects_forbidden_lambda(capsys):
     rc, _, err = _run(capsys, "delay", "--fig", "1", "--lambda", "0.05")
     assert rc == 3

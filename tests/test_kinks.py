@@ -262,12 +262,16 @@ def test_lambda_driven_smooth_outside_forbidden_window():
     assert len(poled.singularities) == 1
 
 
-def test_lambda_driven_zero_lambda_is_constant():
+def test_lambda_constructors_reject_zero_and_non_finite():
+    # lambda = 0 lies outside every forbidden window but collapses the
+    # family to a constant, so both constructors refuse it
     setup = driven_setup(3.0, 0.7, 2.2772)
-    sol = lambda_driven_solution(setup, "I", "+", 0.0)
-    assert sol.profile._is_constant()
-    xi = np.linspace(-3.0, 3.0, 7)
-    assert np.all(sol.profile.value(xi) == -setup.epsilon)
+    params = ModelParams(1.0, 1.0)
+    for lam in (0.0, -0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lambda must be finite and nonzero"):
+            lambda_driven_solution(setup, "I", "+", lam)
+        with pytest.raises(ValueError, match="lambda must be finite and nonzero"):
+            lambda_zero_field_solution(params, "-", "second", lam)
 
 
 # ------------------------------------------------------- zero-field lambdas

@@ -98,6 +98,17 @@ def test_rate_selects_case_root():
         setup.rate("III")
 
 
+@pytest.mark.parametrize("fig_id", sorted(_REFERENCE_RHO))
+def test_setup_rho_dispatches_by_case(fig_id):
+    setup = _setup_for(fig_id)
+    for sign in (1, -1, "+", "-"):
+        assert setup.rho("I", sign) == rho_case1(setup, sign)
+        assert setup.rho("II", sign) == rho_case2(setup, sign)
+        assert setup.rho("2", sign) == rho_case2(setup, sign)
+    with pytest.raises(ValueError):
+        setup.rho("III", 1)
+
+
 def test_driven_setup_complex_delta():
     with pytest.raises(ComplexDelta):
         driven_setup(1.0, 1.0, 2.0)
