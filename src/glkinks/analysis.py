@@ -130,10 +130,11 @@ def _bisect(f, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sign_change_roots(f, lo, hi, is_jump=None) -> list[float]:
+def _sign_change_roots(f, lo, hi, poles=()) -> list[float]:
     """Scan f on _SCAN_POINTS points of [lo, hi]; exact zeros plus bisected flips.
 
-    A flip whose bracket is_jump(a, b) reports as a jump is skipped.
+    A flip across one of poles is a jump, not a root, and is skipped; a
+    pole on either end of the bracket counts as across.
     """
     xi = np.linspace(float(lo), float(hi), _SCAN_POINTS)
     sgn = np.sign(f(xi))
@@ -142,7 +143,7 @@ def _sign_change_roots(f, lo, hi, is_jump=None) -> list[float]:
     roots = [float(xi[i]) for i in exact]
     for i in flips:
         a, b = float(xi[i]), float(xi[i + 1])
-        if is_jump is None or not is_jump(a, b):
+        if not any(a <= pole <= b for pole in poles):
             roots.append(_bisect(f, a, b))
     return roots
 
@@ -185,12 +186,9 @@ def switching_midpoint(solution: KinkSolution, xi_range=None) -> MidpointCrossin
     level = 0.5 * (left + right)
     lo, hi = xi_range if xi_range is not None else _default_range(solution)
     profile = solution.profile
-
-    def is_jump(a, b):
-        # a pole on either endpoint makes the flip a jump as well
-        return any(a <= pole <= b for pole in solution.singularities)
-
-    crossings = _sign_change_roots(lambda x: profile.value(x) - level, lo, hi, is_jump)
+    crossings = _sign_change_roots(
+        lambda x: profile.value(x) - level, lo, hi, solution.singularities
+    )
     if not crossings:
         raise NoCrossing(f"{solution.family} never reaches its midpoint level in range")
     return MidpointCrossing(xi_mid=max(crossings), n_crossings=len(crossings))
