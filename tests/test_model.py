@@ -80,6 +80,8 @@ def test_forced_rho_reference_values(fig_id):
     fn = rho_case1 if case == "I" else rho_case2
     assert fn(setup, sign) == pytest.approx(rho, rel=1e-13)
     assert fn(setup, -sign) == pytest.approx(-rho, rel=1e-13)
+    for s in (sign, -sign):
+        assert setup.rho(case, s) == fn(setup, s)
 
 
 def test_epsilon_sign_flip_mirrors_roots():
@@ -96,17 +98,6 @@ def test_rate_selects_case_root():
     assert setup.rate("2") == setup.r_minus
     with pytest.raises(ValueError):
         setup.rate("III")
-
-
-@pytest.mark.parametrize("fig_id", sorted(_REFERENCE_RHO))
-def test_setup_rho_dispatches_by_case(fig_id):
-    setup = _setup_for(fig_id)
-    for sign in (1, -1, "+", "-"):
-        assert setup.rho("I", sign) == rho_case1(setup, sign)
-        assert setup.rho("II", sign) == rho_case2(setup, sign)
-        assert setup.rho("2", sign) == rho_case2(setup, sign)
-    with pytest.raises(ValueError):
-        setup.rho("III", 1)
 
 
 def test_driven_setup_complex_delta():
