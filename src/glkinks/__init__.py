@@ -44,17 +44,12 @@ from .kinks import (
     UNDRIVEN_RHO_SIGNS,
     KinkSolution,
     MobiusExpProfile,
-    driven_kink,
+    catalogue,
     driven_solution,
     general_riccati,
     lambda_driven_solution,
-    lambda_kink_driven,
-    lambda_kink_zero_field,
     lambda_zero_field_solution,
-    montroll_kink,
     montroll_solution,
-    undriven_kink,
-    undriven_rho_pairing,
     undriven_solution,
 )
 from .model import (
@@ -112,10 +107,10 @@ __all__ = [
     "SingularPoint",
     "Trajectory",
     "UNDRIVEN_RHO_SIGNS",
+    "catalogue",
     "compare",
     "compatible_riccati",
     "delay_curve",
-    "driven_kink",
     "driven_setup",
     "driven_solution",
     "epsilon_admissible_interval",
@@ -127,11 +122,8 @@ __all__ = [
     "integrate_second_order",
     "lambda_driven_solution",
     "lambda_forbidden_interval",
-    "lambda_kink_driven",
-    "lambda_kink_zero_field",
     "lambda_zero_field_solution",
     "map_condon_params",
-    "montroll_kink",
     "montroll_roots",
     "montroll_solution",
     "residual",
@@ -139,9 +131,7 @@ __all__ = [
     "rho_case2",
     "singularity_scan",
     "switching_midpoint",
-    "undriven_kink",
     "undriven_rho",
-    "undriven_rho_pairing",
     "undriven_solution",
     "validate_params",
     "verification_grid",

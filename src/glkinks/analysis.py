@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NoCrossing, NonPositiveRate
+from .errors import NoCrossing
 from .kinks import KinkSolution
 from .model import AdmissibleRange, DrivenSetup, _as_case, _as_sign
 
@@ -64,8 +64,6 @@ def lambda_forbidden_interval(setup: DrivenSetup, case: str, branch) -> LambdaDo
     c = _as_case(case)
     s = _as_sign(branch)
     r = setup.rate(c)
-    if r == 0.0:
-        raise NonPositiveRate(f"case {c} root vanishes, no lambda family exists")
     bound = s * math.sqrt(setup.b1) / (2.0 * r)
     if bound > 0.0:
         forbidden = AdmissibleRange(0.0, bound, lower_open=True, upper_open=False)

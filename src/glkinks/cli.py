@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .errors import (
 from .figures import FIGURES
 from .kinks import (
     KinkSolution,
+    catalogue,
     driven_solution,
     lambda_driven_solution,
     lambda_zero_field_solution,
@@ -53,29 +53,6 @@ from .verify import compare, integrate_second_order, residual
 
 _USAGE_ERROR = 2
 _DOMAIN_ERROR = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation, normalized; grid is (lo, hi, n)."""
-
-    command: str
-    a1: float | None
-    b1: float | None
-    epsilon: float | None
-    case: str | None
-    branch: str | None
-    index: int | None
-    variant: str | None
-    lambda_list: tuple[float, ...]
-    xi0: float
-    grid: tuple[float, float, int]
-    output_path: str | None
-    family: str | None
-    montroll_a: float | None
-    montroll_b: float | None
-    fig: int | None
-    perturb_rho: float
 
 
 def _fmt(x: float) -> str:
@@ -181,45 +158,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        a1=args.a1,
-        b1=args.b1,
-        epsilon=args.epsilon,
-        case=args.case,
-        branch=args.branch,
-        index=args.index,
-        variant=args.variant,
-        lambda_list=tuple(args.lambda_list),
-        xi0=args.xi0,
-        grid=args.grid if args.grid is not None else (-15.0, 15.0, 4001),
-        output_path=args.output_path,
-        family=args.family,
-        montroll_a=args.montroll_a,
-        montroll_b=args.montroll_b,
-        fig=args.fig,
-        perturb_rho=getattr(args, "perturb_rho", 0.0),
-    )
-
-
-def _require(cfg: RunConfig, *names: str):
-    missing = [n for n in names if getattr(cfg, n) is None]
+def _require(args: argparse.Namespace, *names: str):
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise ValueError(f"missing required flags for this family: {flags}")
 
 
-def _infer_family(cfg: RunConfig) -> str:
-    if cfg.family is not None:
-        return cfg.family
-    if cfg.montroll_a is not None or cfg.montroll_b is not None:
+def _infer_family(args: argparse.Namespace) -> str:
+    if args.family is not None:
+        return args.family
+    if args.montroll_a is not None or args.montroll_b is not None:
         return "montroll"
-    if cfg.epsilon is not None:
-        return "lambda-driven" if cfg.lambda_list else "driven"
-    if cfg.lambda_list:
+    if args.epsilon is not None:
+        return "lambda-driven" if args.lambda_list else "driven"
+    if args.lambda_list:
         return "lambda-zero-field"
-    if cfg.index is not None:
+    if args.index is not None:
         return "undriven"
     raise ValueError(
         "cannot infer family; pass --family or identifying flags "
@@ -227,33 +182,35 @@ def _infer_family(cfg: RunConfig) -> str:
     )
 
 
-def _single_lambda(cfg: RunConfig) -> float:
-    if len(cfg.lambda_list) != 1:
+def _single_lambda(args: argparse.Namespace) -> float:
+    if len(args.lambda_list) != 1:
         raise ValueError("this command takes exactly one --lambda")
-    return cfg.lambda_list[0]
+    return args.lambda_list[0]
 
 
-def _build_solution(cfg: RunConfig) -> KinkSolution:
-    family = _infer_family(cfg)
+def _build_solution(args: argparse.Namespace) -> KinkSolution:
+    family = _infer_family(args)
     if family == "montroll":
-        _require(cfg, "montroll_a", "montroll_b")
-        return montroll_solution(cfg.montroll_a, cfg.montroll_b, cfg.xi0)
+        _require(args, "montroll_a", "montroll_b")
+        return montroll_solution(args.montroll_a, args.montroll_b, args.xi0)
     if family == "undriven":
-        _require(cfg, "a1", "b1", "index")
-        return undriven_solution(ModelParams(cfg.a1, cfg.b1), cfg.index, cfg.xi0)
+        _require(args, "a1", "b1", "index")
+        return undriven_solution(ModelParams(args.a1, args.b1), args.index, args.xi0)
     if family == "driven":
-        _require(cfg, "a1", "b1", "epsilon", "case", "branch")
-        setup = driven_setup(cfg.a1, cfg.b1, cfg.epsilon)
-        return driven_solution(setup, cfg.case, cfg.branch, cfg.xi0)
+        _require(args, "a1", "b1", "epsilon", "case", "branch")
+        setup = driven_setup(args.a1, args.b1, args.epsilon)
+        return driven_solution(setup, args.case, args.branch, args.xi0)
     if family == "lambda-driven":
-        _require(cfg, "a1", "b1", "epsilon", "case", "branch")
-        setup = driven_setup(cfg.a1, cfg.b1, cfg.epsilon)
-        return lambda_driven_solution(setup, cfg.case, cfg.branch, _single_lambda(cfg), cfg.xi0)
+        _require(args, "a1", "b1", "epsilon", "case", "branch")
+        setup = driven_setup(args.a1, args.b1, args.epsilon)
+        return lambda_driven_solution(
+            setup, args.case, args.branch, _single_lambda(args), args.xi0
+        )
     if family == "lambda-zero-field":
-        _require(cfg, "a1", "b1", "branch", "variant")
-        params = ModelParams(cfg.a1, cfg.b1)
+        _require(args, "a1", "b1", "branch", "variant")
+        params = ModelParams(args.a1, args.b1)
         return lambda_zero_field_solution(
-            params, cfg.branch, cfg.variant, _single_lambda(cfg), cfg.xi0
+            params, args.branch, args.variant, _single_lambda(args), args.xi0
         )
     raise ValueError(f"unknown family {family!r}")
 
@@ -302,9 +259,8 @@ def _csv_lines(comment_pairs: list[tuple[str, str]], header: str, rows: list[str
 
 
 def cmd_families(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    _require(cfg, "a1", "b1")
-    params = ModelParams(cfg.a1, cfg.b1)
+    _require(args, "a1", "b1")
+    params = ModelParams(args.a1, args.b1)
     lines = [f"# glkinks {__version__}"]
     for index in (1, 2, 3, 4):
         sol = undriven_solution(params, index)
@@ -325,14 +281,14 @@ def cmd_families(args: argparse.Namespace) -> int:
                 f"lambda-zero-field-{variant}{branch}  rho={_fmt(sol.forced_rho)}  "
                 f"width={_fmt(1.0 / sol.width_inverse)}  pole set depends on lambda"
             )
-    if cfg.epsilon is not None:
-        setup = driven_setup(cfg.a1, cfg.b1, cfg.epsilon)
+    if args.epsilon is not None:
+        setup = driven_setup(args.a1, args.b1, args.epsilon)
         for case in ("I", "II"):
             for branch in ("+", "-"):
                 sign = 1 if branch == "+" else -1
                 rho = setup.rho(case, sign)
-                window = epsilon_admissible_interval(cfg.a1, cfg.b1, case, sign)
-                verdict = "admissible" if window.contains(cfg.epsilon) else "rho <= 0"
+                window = epsilon_admissible_interval(args.a1, args.b1, case, sign)
+                verdict = "admissible" if window.contains(args.epsilon) else "rho <= 0"
                 sol = driven_solution(setup, case, branch)
                 lines.append(
                     f"driven-{case}{branch}  rho={_fmt(rho)}  {verdict} "
@@ -345,7 +301,7 @@ def cmd_families(args: argparse.Namespace) -> int:
                     f"lambda-{case}{branch}  rho={_fmt(rho)}  "
                     f"forbidden lambda {domain.forbidden}"
                 )
-    _write_lines(cfg.output_path, lines)
+    _write_lines(args.output_path, lines)
     return 0
 
 
@@ -364,26 +320,24 @@ def _eval_rows(sol: KinkSolution, grid: tuple[float, float, int]) -> tuple[list[
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    sol = _build_solution(cfg)
-    rows, n_singular = _eval_rows(sol, cfg.grid)
+    sol = _build_solution(args)
+    rows, n_singular = _eval_rows(sol, args.grid)
     if n_singular == len(rows):
         print("error: every grid point is singular", file=sys.stderr)
         return _DOMAIN_ERROR
-    lines = _csv_lines(_solution_comment_pairs(sol, cfg.grid), "xi,psi,is_singular", rows)
-    _write_lines(cfg.output_path, lines)
+    lines = _csv_lines(_solution_comment_pairs(sol, args.grid), "xi,psi,is_singular", rows)
+    _write_lines(args.output_path, lines)
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     import os
 
-    cfg = _config(args)
-    if cfg.fig is None or cfg.fig not in FIGURES:
+    if args.fig not in FIGURES:
         print(f"error: --fig must be one of {sorted(FIGURES)}", file=sys.stderr)
         return _USAGE_ERROR
-    spec = FIGURES[cfg.fig]
-    out_dir = cfg.output_path or "."
+    spec = FIGURES[args.fig]
+    out_dir = args.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
     setup = driven_setup(spec.a1, spec.b1, spec.epsilon)
     rho = setup.rho(spec.case, spec.branch)
@@ -420,62 +374,14 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verification_jobs(cfg: RunConfig):
-    """(label, solution) pairs for the requested scope."""
-    jobs = []
-    if cfg.family is None or cfg.family == "montroll":
-        jobs.append(("montroll(0,1)", montroll_solution(0.0, 1.0)))
-    if cfg.family is None or cfg.family == "undriven":
-        params = ModelParams(cfg.a1 or 1.0, cfg.b1 or 1.0)
-        for index in (1, 2, 3, 4):
-            jobs.append((f"undriven-{index}", undriven_solution(params, index)))
-    if cfg.family is None or cfg.family == "lambda-zero-field":
-        params = ModelParams(cfg.a1 or 1.0, cfg.b1 or 1.0)
-        for branch in ("+", "-"):
-            for variant in ("first", "second"):
-                for lam in (1.0, 10.0, 100.0):
-                    jobs.append(
-                        (
-                            f"lambda-zero-field-{variant}{branch} lam={lam:g}",
-                            lambda_zero_field_solution(params, branch, variant, lam),
-                        )
-                    )
-    if cfg.family is None or cfg.family in ("driven", "lambda-driven"):
-        for spec in FIGURES.values():
-            setup = driven_setup(spec.a1, spec.b1, spec.epsilon)
-            if cfg.family is None or cfg.family == "driven":
-                jobs.append(
-                    (
-                        f"driven-{spec.case}{spec.branch} fig{spec.fig_id}",
-                        driven_solution(setup, spec.case, spec.branch),
-                    )
-                )
-            if cfg.family is None or cfg.family == "lambda-driven":
-                for lam_str in spec.lambdas:
-                    jobs.append(
-                        (
-                            f"lambda-{spec.case}{spec.branch} fig{spec.fig_id} lam={lam_str}",
-                            lambda_driven_solution(
-                                setup, spec.case, spec.branch, float(lam_str)
-                            ),
-                        )
-                    )
-    return jobs
-
-
-_KNOWN_SCOPES = ("montroll", "undriven", "driven", "lambda-driven", "lambda-zero-field")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if cfg.family is not None and cfg.family not in _KNOWN_SCOPES:
-        print(f"error: unknown family {cfg.family!r}", file=sys.stderr)
-        return _USAGE_ERROR
-    jobs = _verification_jobs(cfg)
+    a1 = 1.0 if args.a1 is None else args.a1
+    b1 = 1.0 if args.b1 is None else args.b1
+    jobs = catalogue(a1, b1, args.family)
     lines = []
     failures = 0
     for label, sol in jobs:
-        rho = sol.forced_rho + cfg.perturb_rho
+        rho = sol.forced_rho + args.perturb_rho
         report = residual(sol, rho=rho, mode="analytic")
         ok = report.max_abs_residual < 1e-10
         failures += 0 if ok else 1
@@ -485,11 +391,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"(skipped {report.skipped})"
         )
     # one integration oracle per run keeps the suite under a few seconds
-    oracle = undriven_solution(ModelParams(cfg.a1 or 1.0, cfg.b1 or 1.0), 1)
+    oracle = undriven_solution(ModelParams(a1, b1), 1)
     w = 1.0 / oracle.width_inverse
     span = (oracle.xi0 - 10.0 * w, oracle.xi0 + 10.0 * w)
     params = ModelParams(
-        oracle.params.a1, oracle.params.b1, oracle.forced_rho + cfg.perturb_rho
+        oracle.params.a1, oracle.params.b1, oracle.forced_rho + args.perturb_rho
     )
     traj = integrate_second_order(
         params,
@@ -503,17 +409,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures += 0 if ok else 1
     lines.append(f"{'PASS' if ok else 'FAIL'}  rk4 undriven-1: sup={sup:.3e}")
     lines.append(f"{len(jobs) + 1 - failures}/{len(jobs) + 1} checks passed")
-    _write_lines(cfg.output_path, lines)
+    _write_lines(args.output_path, lines)
     return 0 if failures == 0 else 1
 
 
 def cmd_delay(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if cfg.fig is not None:
-        if cfg.fig not in FIGURES:
+    if args.fig is not None:
+        if args.fig not in FIGURES:
             print(f"error: --fig must be one of {sorted(FIGURES)}", file=sys.stderr)
             return _USAGE_ERROR
-        spec = FIGURES[cfg.fig]
+        spec = FIGURES[args.fig]
         a1, b1, eps, case, branch, xi0 = (
             spec.a1,
             spec.b1,
@@ -522,18 +427,18 @@ def cmd_delay(args: argparse.Namespace) -> int:
             spec.branch,
             spec.xi0,
         )
-        lams = cfg.lambda_list or tuple(float(s) for s in spec.lambdas)
+        lams = args.lambda_list or tuple(float(s) for s in spec.lambdas)
     else:
-        _require(cfg, "a1", "b1", "epsilon", "case", "branch")
+        _require(args, "a1", "b1", "epsilon", "case", "branch")
         a1, b1, eps, case, branch, xi0 = (
-            cfg.a1,
-            cfg.b1,
-            cfg.epsilon,
-            cfg.case,
-            cfg.branch,
-            cfg.xi0,
+            args.a1,
+            args.b1,
+            args.epsilon,
+            args.case,
+            args.branch,
+            args.xi0,
         )
-        lams = cfg.lambda_list
+        lams = args.lambda_list
     if not lams:
         raise ValueError("delay needs at least one --lambda")
     lams = tuple(sorted(set(float(x) for x in lams)))
@@ -567,7 +472,7 @@ def cmd_delay(args: argparse.Namespace) -> int:
     ]
     lines = _csv_lines(pairs, "lambda,xi_mid,multiplicity_flag", rows)
     lines.append(f"# midpoint_inf={_fmt(curve.midpoint_inf)}")
-    _write_lines(cfg.output_path, lines)
+    _write_lines(args.output_path, lines)
     return 0
 
 

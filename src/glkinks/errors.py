@@ -45,4 +45,4 @@ class NoCrossing(GLKinksError):
 
 
 class NonPositiveRate(GLKinksError):
-    """The decay rate entering a lambda bound is zero, so the bound is undefined."""
+    """A driven case's decay rate is zero, so its kink and lambda bound degenerate."""

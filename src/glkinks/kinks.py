@@ -22,9 +22,10 @@ The families are
   * the general Riccati solution itself in closed form (general_riccati),
     kept as an independent code path so the two can be cross-checked.
 
-Each constructor returns a KinkSolution carrying the forced friction value,
-the drive, asymptotics and the singularity set, so downstream verification
-needs no family-specific knowledge.
+Each constructor returns a KinkSolution whose params carry the forced
+friction value and the drive and whose profile yields asymptotics and the
+singularity set, so downstream verification needs no family-specific
+knowledge.  catalogue() lists every family the package constructs, labelled.
 """
 
 from __future__ import annotations
@@ -36,12 +37,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularPoint
+from .figures import FIGURES
 from .model import (
     SQRT2,
     DrivenSetup,
     ModelParams,
     _as_case,
     _as_sign,
+    driven_setup,
     undriven_rho,
     validate_params,
 )
@@ -51,7 +54,8 @@ from .model import (
 SINGULAR_TOL = 1e-12
 
 # Friction sign attached to each basic double-well kink index, recovered
-# empirically by undriven_rho_pairing (the closed forms do not advertise it).
+# empirically from residuals (the closed forms do not advertise it); the
+# recovery is rerun by tests/test_kinks.py.
 UNDRIVEN_RHO_SIGNS = {1: 1, 2: -1, 3: -1, 4: 1}
 
 # Sign of the square-root term in the basic-kink denominators selected by
@@ -105,6 +109,9 @@ class MobiusExpProfile:
     xi0: float
 
     def __post_init__(self):
+        fields = (self.num_u, self.num_1, self.den_u, self.den_1, self.rate, self.xi0)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError(f"profile coefficients must be finite, got {fields}")
         if self.den_u == 0.0 and self.den_1 == 0.0:
             raise ValueError("denominator is identically zero")
 
@@ -224,26 +231,54 @@ class MobiusExpProfile:
 class KinkSolution:
     """An evaluable closed-form profile plus everything needed to verify it.
 
-    forced_rho is the friction value at which this profile solves the
-    second-order equation; eta_gamma is the constant drive (zero for the
-    zero-field families).  k1 is the constant multiplying exp(rate*xi) in
-    the denominator, the translation constant in its alternative form:
-    k1 * exp(rate*xi) == exp(rate*(xi - xi0)).
+    Five values are stored: the family tag, the equation's coefficients
+    (params, whose rho is the forced friction and whose drive is the
+    constant drive), the driven setup and lambda where the family has them,
+    and the profile.  Every other attribute is derived when read: xi0, k1,
+    width_inverse, the limits and the singularities from the profile,
+    forced_rho and eta_gamma from params.
     """
 
     family: str
     params: ModelParams
     setup: DrivenSetup | None
-    xi0: float
-    k1: float
     lam: float | None
-    width_inverse: float
-    left_limit: float
-    right_limit: float
-    singularities: tuple[float, ...]
-    forced_rho: float
-    eta_gamma: float
     profile: MobiusExpProfile
+
+    @property
+    def xi0(self) -> float:
+        return self.profile.xi0
+
+    @property
+    def k1(self) -> float:
+        """The translation constant: k1 * exp(rate*xi) == exp(rate*(xi - xi0))."""
+        return math.exp(-self.profile.rate * self.profile.xi0)
+
+    @property
+    def width_inverse(self) -> float:
+        return abs(self.profile.rate)
+
+    @property
+    def left_limit(self) -> float:
+        return self.profile.left_limit()
+
+    @property
+    def right_limit(self) -> float:
+        return self.profile.right_limit()
+
+    @property
+    def singularities(self) -> tuple[float, ...]:
+        return self.profile.pole_xis()
+
+    @property
+    def forced_rho(self) -> float:
+        """The friction value at which this profile solves the second-order equation."""
+        return self.params.rho
+
+    @property
+    def eta_gamma(self) -> float:
+        """The constant drive (zero for the zero-field families)."""
+        return self.params.drive
 
     def evaluate(self, xi):
         """Profile value at xi (scalar or array).
@@ -268,24 +303,6 @@ class KinkSolution:
     __call__ = evaluate
 
 
-def _build(family, params, setup, xi0, lam, profile, rho, eta_gamma) -> KinkSolution:
-    return KinkSolution(
-        family=family,
-        params=params,
-        setup=setup,
-        xi0=xi0,
-        k1=math.exp(-profile.rate * xi0),
-        lam=lam,
-        width_inverse=abs(profile.rate),
-        left_limit=profile.left_limit(),
-        right_limit=profile.right_limit(),
-        singularities=profile.pole_xis(),
-        forced_rho=rho,
-        eta_gamma=eta_gamma,
-        profile=profile,
-    )
-
-
 def montroll_solution(a: float, b: float, xi0: float = 0.0) -> KinkSolution:
     """Two-root kink of the unit cubic: a + sqrt(2)*alpha/(1 + e^(alpha*xi)).
 
@@ -301,16 +318,7 @@ def montroll_solution(a: float, b: float, xi0: float = 0.0) -> KinkSolution:
     profile = MobiusExpProfile(
         num_u=a, num_1=a + SQRT2 * alpha, den_u=1.0, den_1=1.0, rate=alpha, xi0=xi0
     )
-    return _build(
-        family="montroll",
-        params=ModelParams(1.0, 1.0, rho),
-        setup=None,
-        xi0=xi0,
-        lam=None,
-        profile=profile,
-        rho=rho,
-        eta_gamma=0.0,
-    )
+    return KinkSolution("montroll", ModelParams(1.0, 1.0, rho), None, None, profile)
 
 
 def undriven_solution(params: ModelParams, index: int, xi0: float = 0.0) -> KinkSolution:
@@ -333,15 +341,8 @@ def undriven_solution(params: ModelParams, index: int, xi0: float = 0.0) -> Kink
     sign = UNDRIVEN_RHO_SIGNS[index]
     rho = undriven_rho(params.a1, sign)
     profile = MobiusExpProfile(num_u=0.0, num_1=sa, den_u=1.0, den_1=den_1, rate=rate, xi0=xi0)
-    return _build(
-        family=f"undriven-{index}",
-        params=ModelParams(params.a1, params.b1, rho),
-        setup=None,
-        xi0=xi0,
-        lam=None,
-        profile=profile,
-        rho=rho,
-        eta_gamma=0.0,
+    return KinkSolution(
+        f"undriven-{index}", ModelParams(params.a1, params.b1, rho), None, None, profile
     )
 
 
@@ -368,15 +369,12 @@ def driven_solution(setup: DrivenSetup, case: str, sign, xi0: float = 0.0) -> Ki
         xi0=xi0,
     )
     tag = "+" if s > 0 else "-"
-    return _build(
-        family=f"driven-{c}{tag}",
-        params=ModelParams(setup.a1, setup.b1, rho, gamma1=1.0, eta=setup.eta_times_gamma1),
-        setup=setup,
-        xi0=xi0,
-        lam=None,
-        profile=profile,
-        rho=rho,
-        eta_gamma=setup.eta_times_gamma1,
+    return KinkSolution(
+        f"driven-{c}{tag}",
+        ModelParams(setup.a1, setup.b1, rho, gamma1=1.0, eta=setup.eta_times_gamma1),
+        setup,
+        None,
+        profile,
     )
 
 
@@ -420,15 +418,12 @@ def lambda_zero_field_solution(
     rho = undriven_rho(params.a1, bsign)
     profile = MobiusExpProfile(num[0], num[1], den[0], den[1], rate, xi0)
     tag = "+" if bsign > 0 else "-"
-    return _build(
-        family=f"lambda-zero-field-{variant}{tag}",
-        params=ModelParams(params.a1, params.b1, rho),
-        setup=None,
-        xi0=xi0,
-        lam=lam,
-        profile=profile,
-        rho=rho,
-        eta_gamma=0.0,
+    return KinkSolution(
+        f"lambda-zero-field-{variant}{tag}",
+        ModelParams(params.a1, params.b1, rho),
+        None,
+        lam,
+        profile,
     )
 
 
@@ -463,43 +458,68 @@ def lambda_driven_solution(
         num[0] - eps * den[0], num[1] - eps * den[1], den[0], den[1], rate, xi0
     )
     tag = "+" if s > 0 else "-"
-    return _build(
-        family=f"lambda-{c}{tag}",
-        params=ModelParams(setup.a1, setup.b1, rho, gamma1=1.0, eta=setup.eta_times_gamma1),
-        setup=setup,
-        xi0=xi0,
-        lam=lam,
-        profile=profile,
-        rho=rho,
-        eta_gamma=setup.eta_times_gamma1,
+    return KinkSolution(
+        f"lambda-{c}{tag}",
+        ModelParams(setup.a1, setup.b1, rho, gamma1=1.0, eta=setup.eta_times_gamma1),
+        setup,
+        lam,
+        profile,
     )
 
 
-def montroll_kink(a: float, b: float, xi):
-    """Point value of the two-root kink a + sqrt(2)*alpha/(1 + e^(alpha*xi))."""
-    return montroll_solution(a, b).evaluate(xi)
+_CATALOGUE_FAMILIES = ("montroll", "undriven", "lambda-zero-field", "driven", "lambda-driven")
 
 
-def undriven_kink(params: ModelParams, index: int, xi0: float, xi):
-    """Point value of a basic double-well kink; raises SingularPoint at poles."""
-    return undriven_solution(params, index, xi0).evaluate(xi)
+def catalogue(
+    a1: float = 1.0, b1: float = 1.0, family: str | None = None
+) -> list[tuple[str, KinkSolution]]:
+    """Every closed-form profile the package constructs, labelled, in a fixed order.
 
+    The two-root kink montroll(0,1) of the unit cubic; the four basic kinks
+    and the zero-field lambda kinks (lambda in 1, 10, 100) at coefficients
+    a1, b1; then, per reference figure set, its constant-drive kink and its
+    lambda kinks at the figure's lambdas.  family keeps one of "montroll",
+    "undriven", "lambda-zero-field", "driven" or "lambda-driven"; any other
+    value raises ValueError.
+    """
+    if family is not None and family not in _CATALOGUE_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
 
-def driven_kink(setup: DrivenSetup, case: str, sign, xi0: float, xi):
-    """Point value of a constant-drive kink (already downshifted by epsilon)."""
-    return driven_solution(setup, case, sign, xi0).evaluate(xi)
+    def wanted(name):
+        return family is None or family == name
 
-
-def lambda_kink_zero_field(
-    params: ModelParams, branch, variant: str, lam: float, xi0: float, xi
-):
-    """Point value of a zero-field lambda kink; raises SingularPoint at poles."""
-    return lambda_zero_field_solution(params, branch, variant, lam, xi0).evaluate(xi)
-
-
-def lambda_kink_driven(setup: DrivenSetup, case: str, branch, lam: float, xi0: float, xi):
-    """Point value of a constant-drive lambda kink, downshifted by epsilon."""
-    return lambda_driven_solution(setup, case, branch, lam, xi0).evaluate(xi)
+    jobs = []
+    if wanted("montroll"):
+        jobs.append(("montroll(0,1)", montroll_solution(0.0, 1.0)))
+    params = ModelParams(a1, b1)
+    if wanted("undriven"):
+        for index in (1, 2, 3, 4):
+            jobs.append((f"undriven-{index}", undriven_solution(params, index)))
+    if wanted("lambda-zero-field"):
+        for branch in ("+", "-"):
+            for variant in ("first", "second"):
+                for lam in (1.0, 10.0, 100.0):
+                    jobs.append(
+                        (
+                            f"lambda-zero-field-{variant}{branch} lam={lam:g}",
+                            lambda_zero_field_solution(params, branch, variant, lam),
+                        )
+                    )
+    if wanted("driven") or wanted("lambda-driven"):
+        for spec in FIGURES.values():
+            setup = driven_setup(spec.a1, spec.b1, spec.epsilon)
+            tag = f"{spec.case}{spec.branch} fig{spec.fig_id}"
+            if wanted("driven"):
+                jobs.append((f"driven-{tag}", driven_solution(setup, spec.case, spec.branch)))
+            if wanted("lambda-driven"):
+                for lam_str in spec.lambdas:
+                    jobs.append(
+                        (
+                            f"lambda-{tag} lam={lam_str}",
+                            lambda_driven_solution(setup, spec.case, spec.branch, float(lam_str)),
+                        )
+                    )
+    return jobs
 
 
 def _first_offender(xi, bad):
@@ -595,37 +615,3 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
     if scalar:
         return float(vals)
     return vals
-
-
-def undriven_rho_pairing(a1: float = 1.0, b1: float = 1.0) -> dict[int, int]:
-    """Recover the friction sign of each basic kink index from residuals.
-
-    For each index the double-well equation residual is evaluated with both
-    candidate friction values on a pole-free grid using centered finite
-    differences, and the sign with the smaller maximum residual wins.  The
-    recovered table equals UNDRIVEN_RHO_SIGNS for every valid (a1, b1);
-    the recorded constant exists so the constructors need not rerun this.
-    """
-    params = ModelParams(a1, b1)
-    rho_mag = undriven_rho(a1)
-    table = {}
-    for index in (1, 2, 3, 4):
-        sol = undriven_solution(params, index)
-        w = 1.0 / sol.width_inverse
-        xi = sol.xi0 + np.linspace(-8.0, 8.0, 801) * w
-        keep = np.ones(xi.size, dtype=bool)
-        for pole in sol.singularities:
-            keep &= np.abs(xi - pole) > 2.0 * w
-        xi = xi[keep]
-        h = 1e-4
-        psi = sol.profile.value(xi)
-        dpsi = (sol.profile.value(xi + h) - sol.profile.value(xi - h)) / (2.0 * h)
-        ddpsi = (sol.profile.value(xi + h) - 2.0 * psi + sol.profile.value(xi - h)) / (h * h)
-        base = ddpsi - b1 * (psi * psi * psi) + a1 * psi
-        best_sign, best_resid = 0, math.inf
-        for sign in (1, -1):
-            resid = float(np.max(np.abs(base + sign * rho_mag * dpsi)))
-            if resid < best_resid:
-                best_sign, best_resid = sign, resid
-        table[index] = best_sign
-    return table

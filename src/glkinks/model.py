@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexDelta, NonPositiveCoefficient
+from .errors import ComplexDelta, NonPositiveCoefficient, NonPositiveRate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,17 +64,17 @@ class ModelParams:
 
 
 def validate_params(params: ModelParams) -> ModelParams:
-    """Check coefficient positivity; returns the params unchanged on success.
+    """Check that a1 and b1 are finite and positive; returns the params unchanged.
 
     Raises
     ------
     NonPositiveCoefficient
-        If a1 <= 0 or b1 <= 0.
+        If a1 or b1 is not a finite number > 0.
     """
-    if not (params.a1 > 0.0):
-        raise NonPositiveCoefficient(f"a1 must be > 0, got {params.a1}")
-    if not (params.b1 > 0.0):
-        raise NonPositiveCoefficient(f"b1 must be > 0, got {params.b1}")
+    if not (0.0 < params.a1 < math.inf):
+        raise NonPositiveCoefficient(f"a1 must be finite and > 0, got {params.a1}")
+    if not (0.0 < params.b1 < math.inf):
+        raise NonPositiveCoefficient(f"b1 must be finite and > 0, got {params.b1}")
     return params
 
 
@@ -98,8 +98,18 @@ class DrivenSetup:
     alpha2: float
 
     def rate(self, case: str) -> float:
-        """r_plus for case 'I', r_minus for case 'II'."""
-        return self.r_plus if _as_case(case) == "I" else self.r_minus
+        """r_plus for case 'I', r_minus for case 'II'.
+
+        Raises NonPositiveRate if that root is zero: the case's kink is then
+        a constant and its lambda family has no bound.
+        """
+        c = _as_case(case)
+        r = self.r_plus if c == "I" else self.r_minus
+        if r == 0.0:
+            raise NonPositiveRate(
+                f"case {c} root vanishes: the kink is constant and no lambda family exists"
+            )
+        return r
 
     def rho(self, case: str, sign) -> float:
         """Forced friction: rho_case1 for case 'I', rho_case2 for case 'II'."""

@@ -6,60 +6,15 @@ import pytest
 
 from glkinks.analysis import switching_midpoint
 from glkinks.errors import NoCrossing
-from glkinks.figures import FIGURES
-from glkinks.kinks import (
-    KinkSolution,
-    driven_solution,
-    lambda_driven_solution,
-    lambda_zero_field_solution,
-    montroll_solution,
-    undriven_solution,
-)
-from glkinks.model import ModelParams, driven_setup
+from glkinks.kinks import KinkSolution, catalogue
+from glkinks.model import ModelParams
 from glkinks.verify import compare, integrate_second_order
-
-
-def build_family_suite() -> list[tuple[str, KinkSolution]]:
-    """Every closed-form profile the package constructs, labeled.
-
-    Unit coefficients for the undriven and zero-field families, the four
-    reference parameter sets for the driven ones, lambda in {1, 10, 100}
-    zero-field and the reference lambda sets driven.
-    """
-    jobs = [("montroll(0,1)", montroll_solution(0.0, 1.0))]
-    params = ModelParams(1.0, 1.0)
-    for index in (1, 2, 3, 4):
-        jobs.append((f"undriven-{index}", undriven_solution(params, index)))
-    for branch in ("+", "-"):
-        for variant in ("first", "second"):
-            for lam in (1.0, 10.0, 100.0):
-                jobs.append(
-                    (
-                        f"lambda-zero-field-{variant}{branch} lam={lam:g}",
-                        lambda_zero_field_solution(params, branch, variant, lam),
-                    )
-                )
-    for spec in FIGURES.values():
-        setup = driven_setup(spec.a1, spec.b1, spec.epsilon)
-        jobs.append(
-            (
-                f"driven-{spec.case}{spec.branch} fig{spec.fig_id}",
-                driven_solution(setup, spec.case, spec.branch),
-            )
-        )
-        for lam_str in spec.lambdas:
-            jobs.append(
-                (
-                    f"lambda-{spec.case}{spec.branch} fig{spec.fig_id} lam={lam_str}",
-                    lambda_driven_solution(setup, spec.case, spec.branch, float(lam_str)),
-                )
-            )
-    return jobs
 
 
 @pytest.fixture(scope="session")
 def family_suite():
-    return build_family_suite()
+    """Every closed-form profile the package constructs, labeled (unit coefficients)."""
+    return catalogue()
 
 
 def rk4_window(sol: KinkSolution) -> tuple[float, float]:

@@ -82,6 +82,10 @@ ROSTER = [
     *[(f"figure-fig{k}", ["figure", "--fig", str(k)], "figure", 0) for k in (1, 2, 3, 4)],
     ("verify", ["verify"], "verify", 0),
     ("verify-perturbed", ["verify", "--perturb-rho", "0.001"], "verify", 1),
+    # non-unit coefficients, so a roster that drops --a1/--b1 shows up
+    ("verify-a1-2-b1-0.5", ["verify", "--a1", "2", "--b1", "0.5"], "verify", 0),
+    ("verify-lambda-zero-field-a1-2-b1-0.5",
+     ["verify", "--family", "lambda-zero-field", "--a1", "2", "--b1", "0.5"], "verify", 0),
 ]
 
 

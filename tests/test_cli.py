@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import glkinks
 from glkinks.cli import main
 
 _RHO_PSI1 = "2.1213203435596428"  # 17 significant digits of 1.5*sqrt(2)
@@ -266,6 +268,57 @@ def test_verify_unknown_family(capsys):
     assert "bogus" in err
 
 
+def test_verify_coefficients_reach_the_roster(capsys):
+    # lines of families built at --a1/--b1 move; montroll and the figure
+    # sets do not depend on them
+    rc, unit, _ = _run(capsys, "verify")
+    assert rc == 0
+    rc, scaled, _ = _run(capsys, "verify", "--a1", "2", "--b1", "0.5")
+    assert rc == 0
+    pairs = list(zip(unit.splitlines()[:-1], scaled.splitlines()[:-1]))
+    assert len(pairs) == 38
+    for old, new in pairs:
+        label = old.split(":", 1)[0]
+        assert label == new.split(":", 1)[0]
+        moves = "undriven" in label or "lambda-zero-field" in label
+        assert (old != new) == moves, label
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--a1", "0"],
+        ["verify", "--b1", "0"],
+        ["eval", "--a1", "0", "--b1", "1", "--index", "1", "--grid", "0:1:3"],
+        ["eval", "--a1", "1", "--b1", "0", "--index", "1", "--grid", "0:1:3"],
+    ],
+    ids=["verify-a1", "verify-b1", "eval-a1", "eval-b1"],
+)
+def test_zero_coefficient_is_usage_error(capsys, argv):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "must be finite and > 0, got 0.0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["families", "--a1", "3", "--b1", "1", "--epsilon", "1"],
+        ["eval", "--a1", "3", "--b1", "1", "--epsilon", "1", "--case", "II", "--branch", "+",
+         "--grid", "0:1:3"],
+        ["eval", "--a1", "3", "--b1", "1", "--epsilon", "1", "--case", "II", "--branch", "-",
+         "--lambda", "1", "--grid", "0:1:3"],
+    ],
+    ids=["families", "eval-driven", "eval-lambda-driven"],
+)
+def test_zero_rate_is_domain_error(capsys, argv):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert "case II root vanishes" in err
+
+
 # ---------------------------------------------------------------- delay
 
 
@@ -346,12 +399,18 @@ def test_delay_degenerate_case_root_is_domain_error(capsys):
 # ---------------------------------------------------------- entry points
 
 
+def _module_env():
+    """The environment with PYTHONPATH on the sources this process imported."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(glkinks.__file__))}
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "glkinks", "eval",
          "--a1", "1", "--b1", "1", "--index", "1", "--grid", "0:1:2"],
         capture_output=True,
         text=True,
+        env=_module_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# glkinks 0.1.0\n")
@@ -363,5 +422,6 @@ def test_module_entry_point_propagates_exit_codes():
          "--a1", "1", "--b1", "1", "--index", "1", "--grid", "0:1:1"],
         capture_output=True,
         text=True,
+        env=_module_env(),
     )
     assert proc.returncode == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,22 +10,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glkinks.errors import NonPositiveCoefficient, SingularPoint
+import glkinks
+from glkinks.errors import NonPositiveCoefficient, NonPositiveRate, SingularPoint
 from glkinks.kinks import (
     SINGULAR_TOL,
     UNDRIVEN_RHO_SIGNS,
+    KinkSolution,
     MobiusExpProfile,
+    catalogue,
     driven_solution,
     general_riccati,
     lambda_driven_solution,
     lambda_zero_field_solution,
-    montroll_kink,
     montroll_solution,
-    undriven_kink,
-    undriven_rho_pairing,
     undriven_solution,
 )
-from glkinks.model import SQRT2, ModelParams, driven_setup
+from glkinks.model import SQRT2, ModelParams, driven_setup, undriven_rho
 from glkinks.verify import integrate_riccati, residual
 
 _ROOTS = (0.0, 1.0, -1.0)
@@ -167,6 +168,38 @@ def test_basic_kink_forced_rho_signs():
         assert abs(sol.forced_rho) == pytest.approx(1.5 * SQRT2 * math.sqrt(2.0), rel=1e-15)
 
 
+def undriven_rho_pairing(a1: float = 1.0, b1: float = 1.0) -> dict[int, int]:
+    """Recover the friction sign of each basic kink index from residuals.
+
+    For each index the double-well equation residual is evaluated with both
+    candidate friction values on a pole-free grid using centered finite
+    differences, and the sign with the smaller maximum residual wins.
+    """
+    params = ModelParams(a1, b1)
+    rho_mag = undriven_rho(a1)
+    table = {}
+    for index in (1, 2, 3, 4):
+        sol = undriven_solution(params, index)
+        w = 1.0 / sol.width_inverse
+        xi = sol.xi0 + np.linspace(-8.0, 8.0, 801) * w
+        keep = np.ones(xi.size, dtype=bool)
+        for pole in sol.singularities:
+            keep &= np.abs(xi - pole) > 2.0 * w
+        xi = xi[keep]
+        h = 1e-4
+        psi = sol.profile.value(xi)
+        dpsi = (sol.profile.value(xi + h) - sol.profile.value(xi - h)) / (2.0 * h)
+        ddpsi = (sol.profile.value(xi + h) - 2.0 * psi + sol.profile.value(xi - h)) / (h * h)
+        base = ddpsi - b1 * (psi * psi * psi) + a1 * psi
+        best_sign, best_resid = 0, math.inf
+        for sign in (1, -1):
+            resid = float(np.max(np.abs(base + sign * rho_mag * dpsi)))
+            if resid < best_resid:
+                best_sign, best_resid = sign, resid
+        table[index] = best_sign
+    return table
+
+
 @pytest.mark.parametrize("a1,b1", [(1.0, 1.0), (3.0, 0.7), (0.7, 3.0)])
 def test_rho_pairing_recovered_from_residuals(a1, b1):
     assert undriven_rho_pairing(a1, b1) == UNDRIVEN_RHO_SIGNS
@@ -232,7 +265,7 @@ def test_montroll_matches_basic_kink_one():
     m = montroll_solution(0.0, 1.0)
     u = undriven_solution(ModelParams(1.0, 1.0), 1)
     assert float(np.max(np.abs(m.profile.value(xi) - u.profile.value(xi)))) < 1e-14
-    assert montroll_kink(0.0, 1.0, 0.0) == undriven_kink(ModelParams(1.0, 1.0), 1, 0.0, 0.0)
+    assert m.evaluate(0.0) == u.evaluate(0.0)
 
 
 # ------------------------------------------------------------- driven kinks
@@ -272,6 +305,17 @@ def test_lambda_constructors_reject_zero_and_non_finite():
             lambda_driven_solution(setup, "I", "+", lam)
         with pytest.raises(ValueError, match="lambda must be finite and nonzero"):
             lambda_zero_field_solution(params, "-", "second", lam)
+
+
+def test_driven_constructors_reject_zero_rate():
+    setup = driven_setup(3.0, 1.0, 1.0)  # r_minus == 0 exactly: case II is constant
+    assert setup.r_minus == 0.0
+    for branch in ("+", "-"):
+        with pytest.raises(NonPositiveRate):
+            driven_solution(setup, "II", branch)
+        with pytest.raises(NonPositiveRate):
+            lambda_driven_solution(setup, "II", branch, 1.0)
+    assert driven_solution(setup, "I", "+").width_inverse > 0.0
 
 
 # ------------------------------------------------------- zero-field lambdas
@@ -378,3 +422,114 @@ def test_general_riccati_matches_integration():
     traj = integrate_riccati(c1, c2, y0, (0.0, 5.0), 1e-2)
     closed = general_riccati(c1, c2, 0.0, lam, 0.0, traj.xi_values)
     assert float(np.max(np.abs(traj.psi_values - closed))) < 1e-7
+
+
+# ------------------------------------------------------- non-finite input
+
+_SETUP = driven_setup(3.0, 0.7, 2.2772)
+_CONSTRUCTORS = {
+    "montroll": lambda xi0: montroll_solution(0.0, 1.0, xi0),
+    "undriven": lambda xi0: undriven_solution(ModelParams(1.0, 1.0), 1, xi0),
+    "driven": lambda xi0: driven_solution(_SETUP, "I", "+", xi0),
+    "lambda-zero-field": lambda xi0: lambda_zero_field_solution(
+        ModelParams(1.0, 1.0), "+", "first", 2.0, xi0
+    ),
+    "lambda-driven": lambda xi0: lambda_driven_solution(_SETUP, "I", "+", 0.125, xi0),
+}
+
+
+@pytest.mark.parametrize("xi0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", sorted(_CONSTRUCTORS))
+def test_constructors_reject_non_finite_center(family, xi0):
+    assert np.isfinite(_CONSTRUCTORS[family](0.5).evaluate(0.0))
+    with pytest.raises(ValueError, match="profile coefficients must be finite"):
+        _CONSTRUCTORS[family](xi0)
+
+
+def test_profile_rejects_non_finite_coefficients():
+    for k in range(6):
+        for bad in (math.nan, math.inf, -math.inf):
+            fields = [1.0, 2.0, 1.0, 1.0, 1.0, 0.0]
+            fields[k] = bad
+            with pytest.raises(ValueError, match="profile coefficients must be finite"):
+                MobiusExpProfile(*fields)
+
+
+def test_lambda_overflowing_a_coefficient_is_rejected():
+    # lambda itself is finite, but 4*lambda*r*r/sqrt(b1) overflows
+    with pytest.raises(ValueError, match="profile coefficients must be finite"):
+        lambda_driven_solution(_SETUP, "I", "+", 1e308)
+
+
+# ------------------------------------------------ catalogue and public names
+
+_PUBLIC_NAMES = {
+    "AdmissibleRange", "ComplexDelta", "CondonParams", "DelayCurve", "DomainMismatch",
+    "DrivenSetup", "EmptyGrid", "FIGURES", "FactorPair", "FigureSpec", "GLKinksError",
+    "KinkSolution", "LambdaDomain", "MidpointCrossing", "MobiusExpProfile", "ModelParams",
+    "NoCrossing", "NonFinite", "NonPositiveCoefficient", "NonPositiveRate", "ResidualReport",
+    "RiccatiCoefficients", "SINGULAR_TOL", "SQRT2", "SingularPoint", "Trajectory",
+    "UNDRIVEN_RHO_SIGNS", "catalogue", "compare", "compatible_riccati", "delay_curve",
+    "driven_setup", "driven_solution", "epsilon_admissible_interval", "epsilon_from_field",
+    "factor_driven", "factor_undriven", "general_riccati", "integrate_riccati",
+    "integrate_second_order", "lambda_driven_solution", "lambda_forbidden_interval",
+    "lambda_zero_field_solution", "map_condon_params", "montroll_roots", "montroll_solution",
+    "residual", "rho_case1", "rho_case2", "singularity_scan", "switching_midpoint",
+    "undriven_rho", "undriven_solution", "validate_params", "verification_grid",
+}
+
+
+def test_public_names():
+    assert set(glkinks.__all__) == _PUBLIC_NAMES
+    assert len(glkinks.__all__) == len(_PUBLIC_NAMES)
+    for name in glkinks.__all__:
+        assert getattr(glkinks, name) is not None
+
+
+def test_kink_solution_stores_five_fields():
+    assert [f.name for f in dataclasses.fields(KinkSolution)] == [
+        "family", "params", "setup", "lam", "profile",
+    ]
+
+
+def test_derived_attributes_follow_profile_and_params():
+    for _, sol in catalogue(2.0, 0.5):
+        p = sol.profile
+        assert sol.xi0 == p.xi0
+        assert sol.k1 == math.exp(-p.rate * p.xi0)
+        assert sol.width_inverse == abs(p.rate)
+        assert sol.left_limit == p.left_limit()
+        assert sol.right_limit == p.right_limit()
+        assert sol.singularities == p.pole_xis()
+        assert sol.forced_rho == sol.params.rho
+        assert sol.eta_gamma == sol.params.drive
+        assert sol.eta_gamma == (0.0 if sol.setup is None else sol.setup.eta_times_gamma1)
+
+
+@pytest.mark.parametrize(
+    "family,prefix,count",
+    [("montroll", "montroll", 1), ("undriven", "undriven-", 4),
+     ("lambda-zero-field", "lambda-zero-field-", 12), ("driven", "driven-", 4),
+     ("lambda-driven", "lambda-I", 16)],
+)
+def test_catalogue_family_scope(family, prefix, count):
+    want = [label for label, sol in catalogue() if sol.family.startswith(prefix)]
+    assert [label for label, _ in catalogue(family=family)] == want
+    assert len(want) == count
+
+
+def test_catalogue_coefficients_reach_zero_field_members():
+    for (label, sol), (_, unit) in zip(catalogue(2.0, 0.5), catalogue()):
+        if label.startswith(("undriven", "lambda-zero-field")):
+            assert (sol.params.a1, sol.params.b1) == (2.0, 0.5)
+        else:
+            assert sol == unit
+
+
+def test_catalogue_rejects_unknown_family_and_bad_coefficients():
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        catalogue(family="bogus")
+    with pytest.raises(NonPositiveCoefficient):
+        catalogue(0.0, 1.0)
+    with pytest.raises(NonPositiveCoefficient):
+        catalogue(1.0, math.inf, family="lambda-zero-field")

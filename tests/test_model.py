@@ -50,6 +50,11 @@ def test_validate_params_rejects_nonpositive_coefficients():
         validate_params(ModelParams(0.0, 1.0))
     with pytest.raises(NonPositiveCoefficient):
         validate_params(ModelParams(1.0, -2.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NonPositiveCoefficient, match="finite"):
+            validate_params(ModelParams(bad, 1.0))
+        with pytest.raises(NonPositiveCoefficient, match="finite"):
+            validate_params(ModelParams(1.0, bad))
     p = ModelParams(0.3, 4.0)
     assert validate_params(p) is p
 
