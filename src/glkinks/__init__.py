@@ -13,7 +13,6 @@ generalizations with the forbidden-lambda windows that produce poles.
 from .analysis import (
     DelayCurve,
     LambdaDomain,
-    MidpointCrossing,
     delay_curve,
     lambda_forbidden_interval,
     singularity_scan,
@@ -93,7 +92,6 @@ __all__ = [
     "GLKinksError",
     "KinkSolution",
     "LambdaDomain",
-    "MidpointCrossing",
     "MobiusExpProfile",
     "ModelParams",
     "NoCrossing",

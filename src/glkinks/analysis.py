@@ -3,21 +3,21 @@
 The free constant lambda of a general Riccati solution deforms a kink
 without changing its speed; the visible effect is a shift of the switching
 midpoint.  For each driven family a window of lambda values produces a pole
-instead of a kink.  This module computes that window in closed form,
-locates poles and midpoints empirically by bisection, and assembles the
-midpoint-versus-lambda delay curve.
+instead of a kink.  This module computes that window and the midpoint in
+closed form and assembles the midpoint-versus-lambda delay curve from them.
 
-Poles and midpoints are found the same way: a dense scan for sign
-changes, then bisection of each bracket to an absolute 1e-10.  A profile
-call costs about the same on 1 point as on 16 (numpy's per-call overhead
-dominates), so the bisection evaluates a subtree at a time: the midpoints
-of the next four halvings of [lo, hi], 15 points built with the same
-0.5 * (lo + hi) a plain bisection uses, plus lo itself, in one call.  It
-then walks the subtree with the plain rules (stop on an exact zero or a
-bracket narrower than the tolerance, keep the half whose ends differ in
-sign, at most 200 halvings).  The midpoints and decisions are those of
-one-point bisection, so every root is bit-identical to it, at a quarter
-of the profile calls.
+singularity_scan is the numeric pole oracle: it locates poles without the
+closed form, to cross-check the ones a constructor reports.  It scans the
+denominator for sign changes, then bisects each bracket to an absolute
+1e-10.  A profile call costs about the same on 1 point as on 16 (numpy's
+per-call overhead dominates), so the bisection evaluates a subtree at a
+time: the midpoints of the next four halvings of [lo, hi], 15 points built
+with the same 0.5 * (lo + hi) a plain bisection uses, plus lo itself, in
+one call.  It then walks the subtree with the plain rules (stop on an
+exact zero or a bracket narrower than the tolerance, keep the half whose
+ends differ in sign, at most 200 halvings).  The midpoints and decisions
+are those of one-point bisection, so every root is bit-identical to it, at
+a quarter of the profile calls.
 """
 
 from __future__ import annotations
@@ -128,21 +128,14 @@ def _bisect(f, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sign_change_roots(f, lo, hi, poles=()) -> list[float]:
-    """Scan f on _SCAN_POINTS points of [lo, hi]; exact zeros plus bisected flips.
-
-    A flip across one of poles is a jump, not a root, and is skipped; a
-    pole on either end of the bracket counts as across.
-    """
+def _sign_change_roots(f, lo, hi) -> list[float]:
+    """Scan f on _SCAN_POINTS points of [lo, hi]; exact zeros plus bisected flips."""
     xi = np.linspace(float(lo), float(hi), _SCAN_POINTS)
     sgn = np.sign(f(xi))
     flips = np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]
     exact = np.nonzero(sgn == 0.0)[0]
     roots = [float(xi[i]) for i in exact]
-    for i in flips:
-        a, b = float(xi[i]), float(xi[i + 1])
-        if not any(a <= pole <= b for pole in poles):
-            roots.append(_bisect(f, a, b))
+    roots += [_bisect(f, float(xi[i]), float(xi[i + 1])) for i in flips]
     return roots
 
 
@@ -160,36 +153,26 @@ def singularity_scan(solution: KinkSolution, xi_range=None) -> tuple[float, ...]
     return tuple(sorted(_sign_change_roots(lambda x: profile.kernel(x).den, lo, hi)))
 
 
-@dataclass(frozen=True)
-class MidpointCrossing:
-    """Where a profile crosses the midpoint of its two asymptotic levels."""
+def switching_midpoint(solution: KinkSolution) -> float:
+    """Where the profile crosses the level halfway between its two limits.
 
-    xi_mid: float
-    n_crossings: int
-
-    @property
-    def multiple(self) -> bool:
-        return self.n_crossings > 1
-
-
-def switching_midpoint(solution: KinkSolution, xi_range=None) -> MidpointCrossing:
-    """Largest crossing of the level halfway between the two asymptotics.
-
-    Sign changes across a pole are jumps, not crossings, and are discarded.
-    Raises NoCrossing when the limits coincide or no crossing lies in range.
+    The profile is one Moebius map of u = exp(rate*(xi - xi0)), so it meets
+    the level m at most once, where (n_u - m*d_u)*u + (n_1 - m*d_1) = 0 for
+    some u > 0.  Raises NoCrossing when the limits coincide or are not
+    finite, when no such u exists (a profile with a pole never takes the
+    values between its limits), or when the crossing lies more than 40
+    widths from xi0.
     """
     left, right = solution.left_limit, solution.right_limit
     if not (math.isfinite(left) and math.isfinite(right)) or left == right:
         raise NoCrossing(f"{solution.family} has no distinct finite asymptotic levels")
     level = 0.5 * (left + right)
-    lo, hi = xi_range if xi_range is not None else _default_range(solution)
-    profile = solution.profile
-    crossings = _sign_change_roots(
-        lambda x: profile.value(x) - level, lo, hi, solution.singularities
-    )
-    if not crossings:
+    p = solution.profile
+    xi = p._root_xi(p.num_u - level * p.den_u, p.num_1 - level * p.den_1)
+    lo, hi = _default_range(solution)
+    if xi is None or not lo <= xi <= hi:
         raise NoCrossing(f"{solution.family} never reaches its midpoint level in range")
-    return MidpointCrossing(xi_mid=max(crossings), n_crossings=len(crossings))
+    return xi
 
 
 @dataclass(frozen=True)
@@ -199,7 +182,11 @@ class DelayCurve:
     lambdas: tuple[float, ...]
     midpoints: tuple[float, ...]
     midpoint_inf: float
-    multiplicities: tuple[int, ...]
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """Crossings per lambda: always one, since a Moebius profile meets a level once."""
+        return (1,) * len(self.lambdas)
 
 
 def delay_curve(
@@ -218,16 +205,6 @@ def delay_curve(
         raise ValueError("no lambda values supplied")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda values must be strictly increasing")
-    ref = switching_midpoint(particular).xi_mid
-    mids = []
-    counts = []
-    for lam in lams:
-        crossing = switching_midpoint(make_solution(lam))
-        mids.append(crossing.xi_mid)
-        counts.append(crossing.n_crossings)
-    return DelayCurve(
-        lambdas=lams,
-        midpoints=tuple(mids),
-        midpoint_inf=ref,
-        multiplicities=tuple(counts),
-    )
+    ref = switching_midpoint(particular)
+    mids = tuple(switching_midpoint(make_solution(lam)) for lam in lams)
+    return DelayCurve(lambdas=lams, midpoints=mids, midpoint_inf=ref)

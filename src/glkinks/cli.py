@@ -466,10 +466,8 @@ def cmd_delay(args: argparse.Namespace) -> int:
         ("branch", branch),
         ("xi0", _fmt(xi0)),
     ]
-    rows = [
-        f"{_fmt(lam)},{_fmt(mid)},{1 if mult > 1 else 0}"
-        for lam, mid, mult in zip(curve.lambdas, curve.midpoints, curve.multiplicities)
-    ]
+    # a Moebius profile crosses its midpoint level once, so the flag is always 0
+    rows = [f"{_fmt(lam)},{_fmt(mid)},0" for lam, mid in zip(curve.lambdas, curve.midpoints)]
     lines = _csv_lines(pairs, "lambda,xi_mid,multiplicity_flag", rows)
     lines.append(f"# midpoint_inf={_fmt(curve.midpoint_inf)}")
     _write_lines(args.output_path, lines)

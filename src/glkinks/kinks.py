@@ -5,8 +5,9 @@ exponential,
 
     psi(xi) = (n_u * u + n_1) / (d_u * u + d_1),    u = exp(rate*(xi - xi0)),
 
-which makes the analytic machinery uniform: derivatives, asymptotic limits
-and the (at most one) real pole all come from the same four coefficients,
+which makes the analytic machinery uniform: derivatives, asymptotic limits,
+the (at most one) real pole and the (at most one) crossing of any level,
+such as the switching midpoint, all come from the same four coefficients,
 and one kernel pass (MobiusExpProfile.kernel) evaluates value, derivatives
 and singular mask together from a single exponential.
 The families are
@@ -187,14 +188,21 @@ class MobiusExpProfile:
         """Elementwise test |den| < SINGULAR_TOL * (1 + |num|)."""
         return self.kernel(xi).singular
 
+    def _root_xi(self, c_u: float, c_1: float) -> float | None:
+        """The xi where c_u*u + c_1 vanishes for some u > 0, else None."""
+        if self.rate == 0.0 or c_u == 0.0:
+            return None
+        u_star = -c_1 / c_u
+        if u_star <= 0.0:
+            return None
+        return self.xi0 + math.log(u_star) / self.rate
+
     def pole_xis(self) -> tuple[float, ...]:
         """Real poles, as xi values; at most one exists."""
-        if self.rate == 0.0 or self.den_u == 0.0 or self._is_constant():
+        if self._is_constant():
             return ()
-        u_star = -self.den_1 / self.den_u
-        if u_star <= 0.0:
-            return ()
-        return (self.xi0 + math.log(u_star) / self.rate,)
+        xi = self._root_xi(self.den_u, self.den_1)
+        return () if xi is None else (xi,)
 
     def _limit_u0(self) -> float:
         if self.den_1 != 0.0:

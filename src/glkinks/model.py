@@ -142,8 +142,12 @@ def driven_setup(a1: float, b1: float, epsilon: float) -> DrivenSetup:
         If a1 <= 0 or b1 <= 0.
     ComplexDelta
         If 4*a1 - 3*b1*eps^2 < 0 beyond rounding slack.
+    ValueError
+        If epsilon is not finite.
     """
     validate_params(ModelParams(a1, b1))
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     delta = 4.0 * a1 - 3.0 * b1 * epsilon * epsilon
     if delta < 0.0:
         if delta > -_DELTA_CLAMP * (1.0 + 4.0 * a1):

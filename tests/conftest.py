@@ -34,7 +34,7 @@ def rk4_window(sol: KinkSolution) -> tuple[float, float]:
             return (pole - 22.0 * w, pole - 2.0 * w)
         return (pole + 2.0 * w, pole + 22.0 * w)
     try:
-        center = switching_midpoint(sol).xi_mid
+        center = switching_midpoint(sol)
     except NoCrossing:
         center = sol.xi0
     return (center - 10.0 * w, center + 10.0 * w)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from glkinks.analysis import (
     _bisect,
+    _default_range,
+    _sign_change_roots,
     delay_curve,
     lambda_forbidden_interval,
     singularity_scan,
@@ -19,13 +21,15 @@ from glkinks.analysis import (
 from glkinks.errors import NoCrossing, NonPositiveRate
 from glkinks.figures import FIGURES
 from glkinks.kinks import (
+    KinkSolution,
     MobiusExpProfile,
     driven_solution,
     lambda_driven_solution,
     lambda_zero_field_solution,
     undriven_solution,
 )
-from glkinks.model import ModelParams, driven_setup
+from glkinks.model import ModelParams, driven_setup, epsilon_admissible_interval
+from golden_cli import ROSTER, golden_path
 
 _FORBIDDEN_BOUNDS = {
     1: 0.12359503110847067,
@@ -35,7 +39,7 @@ _FORBIDDEN_BOUNDS = {
 }
 
 _MIDPOINT_INF = {
-    1: (-0.28961592980266149, 1e-9),
+    1: (-0.2896159297539773, 1e-12),
     2: (0.342712958, 1e-6),
     3: (-0.870829202, 1e-6),
     4: (-0.599526040, 1e-6),
@@ -121,10 +125,9 @@ def test_singularity_scan_smooth_and_out_of_range():
 
 def test_switching_midpoint_basic_kink():
     sol = undriven_solution(ModelParams(1.0, 1.0), 1)
-    crossing = switching_midpoint(sol)
-    assert crossing.xi_mid == pytest.approx(0.0, abs=1e-9)
-    assert crossing.n_crossings == 1
-    assert not crossing.multiple
+    xi_mid = switching_midpoint(sol)
+    assert type(xi_mid) is float
+    assert xi_mid == pytest.approx(0.0, abs=1e-9)
 
 
 def test_switching_midpoint_no_crossing_cases():
@@ -144,14 +147,14 @@ def test_switching_midpoint_matches_closed_form(fig_id):
         lam = float(lam_str)
         sol = lambda_driven_solution(setup, spec.case, spec.branch, lam)
         expected = _closed_form_midpoint(setup, spec.case, spec.branch, lam)
-        assert switching_midpoint(sol).xi_mid == pytest.approx(expected, abs=1e-8)
+        assert switching_midpoint(sol) == pytest.approx(expected, abs=1e-8)
 
 
 def test_fig1_midpoint_reference_values():
     spec, setup = _setup_for(1)
     for lam, expected in _FIG1_MIDPOINTS.items():
         sol = lambda_driven_solution(setup, spec.case, spec.branch, lam)
-        assert switching_midpoint(sol).xi_mid == pytest.approx(expected, abs=1e-9)
+        assert switching_midpoint(sol) == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("fig_id", sorted(_MIDPOINT_INF))
@@ -159,13 +162,13 @@ def test_particular_midpoint_reference_values(fig_id):
     spec, setup = _setup_for(fig_id)
     expected, tol = _MIDPOINT_INF[fig_id]
     sol = driven_solution(setup, spec.case, spec.branch)
-    assert switching_midpoint(sol).xi_mid == pytest.approx(expected, abs=tol)
+    assert switching_midpoint(sol) == pytest.approx(expected, abs=tol)
 
 
 def test_fig4_outlier_midpoint():
     spec, setup = _setup_for(4)
     sol = lambda_driven_solution(setup, spec.case, spec.branch, 0.53)
-    assert switching_midpoint(sol).xi_mid == pytest.approx(5.762449, abs=1e-5)
+    assert switching_midpoint(sol) == pytest.approx(5.762449, abs=1e-5)
 
 
 def test_delay_curve_fig1_regression():
@@ -195,6 +198,126 @@ def test_delay_curve_input_validation():
         delay_curve(make, (1.0, 1.0), particular)
     with pytest.raises(ValueError):
         delay_curve(make, (2.0, 1.0), particular)
+
+
+# ------------------------------------------------- scan-based midpoint oracle
+
+
+def _scan_midpoint(solution):
+    """Midpoint found numerically: sign changes of value - m on +-40 widths.
+
+    A flip across a pole is a jump, not a crossing: its bisection ends on
+    the pole, and such roots are dropped.  Raises NoCrossing where
+    switching_midpoint must.
+    """
+    left, right = solution.left_limit, solution.right_limit
+    if not (math.isfinite(left) and math.isfinite(right)) or left == right:
+        raise NoCrossing("no distinct finite limits")
+    level = 0.5 * (left + right)
+    lo, hi = _default_range(solution)
+    roots = [
+        x
+        for x in _sign_change_roots(lambda x: solution.profile.value(x) - level, lo, hi)
+        if not any(abs(x - pole) < 1e-8 for pole in solution.singularities)
+    ]
+    assert len(roots) <= 1, roots
+    if not roots:
+        raise NoCrossing("no crossing in range")
+    return roots[0]
+
+
+def _oracle_agrees(solution):
+    try:
+        want = _scan_midpoint(solution)
+    except NoCrossing:
+        with pytest.raises(NoCrossing):
+            switching_midpoint(solution)
+        return
+    # 1e-10 up to unit width; beyond it, rounding in the coefficients and
+    # in the scan's values moves both roots in proportion to the width
+    # (1.6e-10 apart at width 3.5e3, each within 8.5e-11 of the exact value)
+    tol = 1e-10 * max(1.0, 1.0 / solution.width_inverse)
+    assert switching_midpoint(solution) == pytest.approx(want, abs=tol)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    log_a1=st.floats(-3.0, 3.0),
+    log_b1=st.floats(-3.0, 3.0),
+    case=st.sampled_from(["I", "II"]),
+    branch=st.sampled_from(["+", "-"]),
+    eps_frac=st.floats(0.05, 0.95),
+    side=st.sampled_from(["beyond", "opposite", "inside", "particular"]),
+    log_gap=st.floats(-8.0, 3.0),
+    xi0_widths=st.floats(-2.0, 2.0),
+)
+def test_switching_midpoint_matches_scan_oracle(
+    log_a1, log_b1, case, branch, eps_frac, side, log_gap, xi0_widths
+):
+    # lambda beyond the window's bound, on the other side of 0, inside the
+    # window (a pole), or infinite (the particular kink)
+    a1, b1 = 10.0**log_a1, 10.0**log_b1
+    window = epsilon_admissible_interval(a1, b1, case, branch)
+    setup = driven_setup(a1, b1, window.lower + eps_frac * (window.upper - window.lower))
+    try:
+        bound = lambda_forbidden_interval(setup, case, branch).bound_value
+    except NonPositiveRate:
+        assume(False)
+    xi0 = xi0_widths / setup.rate(case)
+    gap = 10.0**log_gap
+    lam = {
+        "beyond": bound * (1.0 + gap),
+        "opposite": -bound * gap,
+        "inside": bound / (1.0 + gap),
+        "particular": None,
+    }[side]
+    if lam is None:
+        sol = driven_solution(setup, case, branch, xi0)
+    else:
+        sol = lambda_driven_solution(setup, case, branch, lam, xi0)
+    _oracle_agrees(sol)
+
+
+def _shifted_kink(xi_mid):
+    c = math.exp(xi_mid)
+    profile = MobiusExpProfile(1.0, -c, 1.0, c, 1.0, 0.0)
+    return KinkSolution("shifted", ModelParams(1.0, 1.0), None, None, profile)
+
+
+def test_switching_midpoint_matches_scan_oracle_on_edge_cases():
+    params = ModelParams(1.0, 1.0)
+    for sol in (
+        undriven_solution(params, 1),
+        undriven_solution(params, 3),  # pole: no crossing
+        lambda_zero_field_solution(ModelParams(4.0, 1.0), "-", "first", 0.5),  # constant
+        lambda_zero_field_solution(params, "+", "first", 1.0),
+        # (u - c)/(u + c) crosses 0 at xi = log(c): 39 widths out, then 41
+        _shifted_kink(39.0),
+        _shifted_kink(41.0),
+    ):
+        _oracle_agrees(sol)
+
+
+def _read_delay_golden(name):
+    with open(golden_path(name, "bytes"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# ") and "=" in ln)
+    rows = [ln.split(",") for ln in lines if ln and not ln.startswith(("#", "lambda"))]
+    return header, rows
+
+
+@pytest.mark.parametrize("name", [e[0] for e in ROSTER if e[0].startswith("delay-")])
+def test_delay_goldens_match_scan_oracle(name):
+    header, rows = _read_delay_golden(name)
+    setup = driven_setup(float(header["a1"]), float(header["b1"]), float(header["epsilon"]))
+    case, branch, xi0 = header["case"], header["branch"], float(header["xi0"])
+    want_inf = _scan_midpoint(driven_solution(setup, case, branch, xi0))
+    assert float(header["midpoint_inf"]) == pytest.approx(want_inf, abs=1e-10)
+    assert rows
+    for lam, xi_mid, flag in rows:
+        sol = lambda_driven_solution(setup, case, branch, float(lam), xi0)
+        assert float(xi_mid) == pytest.approx(_scan_midpoint(sol), abs=1e-10)
+        assert flag == "0"
 
 
 # ------------------------------------------------------------- bisection
@@ -311,8 +434,9 @@ def kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize("fig_id", sorted(FIGURES))
 def test_scans_make_few_kernel_calls(fig_id, kernel_calls):
-    # one dense scan plus one call per four halvings of each bracket; a
-    # one-point bisection took 27-29 calls for the same scans
+    # the midpoint is closed form; a pole scan is one dense scan plus one
+    # call per four halvings of its bracket (a one-point bisection took
+    # 27-29 calls)
     spec, setup = _setup_for(fig_id)
     solutions = [driven_solution(setup, spec.case, spec.branch)] + [
         lambda_driven_solution(setup, spec.case, spec.branch, float(lam))
@@ -321,7 +445,7 @@ def test_scans_make_few_kernel_calls(fig_id, kernel_calls):
     for sol in solutions:
         kernel_calls.clear()
         switching_midpoint(sol)
-        assert 2 <= len(kernel_calls) <= 10
+        assert len(kernel_calls) == 0
     bound = lambda_forbidden_interval(setup, spec.case, spec.branch).bound_value
     for lam in (0.1 * bound, 0.5 * bound, 0.9 * bound):
         kernel_calls.clear()

@@ -331,7 +331,7 @@ def test_delay_reference_curve(capsys):
     assert len(rows) == 5  # header + 4 lambda rows
     footer = [ln for ln in lines if ln.startswith("# midpoint_inf=")]
     assert len(footer) == 1
-    assert float(footer[0].split("=")[1]) == pytest.approx(-0.28961592980266149, abs=1e-12)
+    assert float(footer[0].split("=")[1]) == pytest.approx(-0.2896159297539773, abs=1e-12)
     assert all(row.endswith(",0") for row in rows[1:])
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from golden_cli import ROSTER, golden_path, run, verify_skeleton
+from golden_cli import GOLDEN_DIR, ROSTER, golden_path, run, verify_skeleton
 
 
 @pytest.mark.parametrize("name,argv,kind,code", ROSTER, ids=[entry[0] for entry in ROSTER])
@@ -17,3 +19,9 @@ def test_cli_matches_golden(name, argv, kind, code):
         assert verify_skeleton(text) == verify_skeleton(want)
     else:
         assert text == want
+
+
+def test_roster_and_golden_files_match_one_to_one():
+    # a renamed or dropped roster entry must not leave its old file behind
+    want = [os.path.basename(golden_path(name, kind)) for name, _, kind, _ in ROSTER]
+    assert sorted(want) == sorted(os.listdir(GOLDEN_DIR))

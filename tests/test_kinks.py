@@ -466,7 +466,7 @@ def test_lambda_overflowing_a_coefficient_is_rejected():
 _PUBLIC_NAMES = {
     "AdmissibleRange", "ComplexDelta", "CondonParams", "DelayCurve", "DomainMismatch",
     "DrivenSetup", "EmptyGrid", "FIGURES", "FactorPair", "FigureSpec", "GLKinksError",
-    "KinkSolution", "LambdaDomain", "MidpointCrossing", "MobiusExpProfile", "ModelParams",
+    "KinkSolution", "LambdaDomain", "MobiusExpProfile", "ModelParams",
     "NoCrossing", "NonFinite", "NonPositiveCoefficient", "NonPositiveRate", "ResidualReport",
     "RiccatiCoefficients", "SINGULAR_TOL", "SQRT2", "SingularPoint", "Trajectory",
     "UNDRIVEN_RHO_SIGNS", "catalogue", "compare", "compatible_riccati", "delay_curve",

@@ -112,6 +112,12 @@ def test_driven_setup_complex_delta():
         driven_setup(-1.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_driven_setup_rejects_non_finite_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        driven_setup(1.0, 1.0, eps)
+
+
 def test_driven_setup_boundary_epsilon_clamps_to_zero():
     a1, b1 = 3.0, 0.7
     eps = 2.0 / math.sqrt(3.0) * math.sqrt(a1 / b1)
