@@ -12,12 +12,17 @@ All output is deterministic: numbers use 17 significant digits, lines end
 with a single newline, and nothing depends on time, environment or
 randomness.  Exit codes: 0 success, 1 verification failure, 2 usage or
 parameter error, 3 domain error (poles, forbidden lambda, no crossing).
+
+CSV rows are formatted in bulk by ``_csv_rows``: one ``%.17g`` format over
+each run of rows between singular points, which gives the same bytes as
+formatting every float on its own with ``f"{x:.17g}"``.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -241,8 +246,7 @@ def _solution_comment_pairs(
     return pairs
 
 
-def _write_lines(path: str | None, lines: list[str]):
-    text = "\n".join(lines) + "\n"
+def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
     else:
@@ -250,12 +254,34 @@ def _write_lines(path: str | None, lines: list[str]):
             fh.write(text)
 
 
-def _csv_lines(comment_pairs: list[tuple[str, str]], header: str, rows: list[str]) -> list[str]:
+def _write_lines(path: str | None, lines: list[str]):
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _csv_rows(xi: np.ndarray, values: np.ndarray, singular: np.ndarray) -> str:
+    """CSV rows "x,v,0", or "x,,1" where singular, each number as %.17g.
+
+    Every maximal run of non-singular rows is formatted by one % over a
+    repeated row template, so no per-row string is built.
+    """
+    n = len(xi)
+    flat = np.column_stack((xi, values)).ravel().tolist()
+    parts = []
+    start = 0
+    for stop in [*np.flatnonzero(singular).tolist(), n]:
+        if stop > start:
+            parts.append(("%.17g,%.17g,0\n" * (stop - start)) % tuple(flat[2 * start : 2 * stop]))
+        if stop < n:
+            parts.append("%.17g,,1\n" % flat[2 * stop])
+        start = stop + 1
+    return "".join(parts)
+
+
+def _csv_text(comment_pairs: list[tuple[str, str]], header: str, rows: str) -> str:
     lines = [f"# glkinks {__version__}"]
     lines.extend(f"# {k}={v}" for k, v in comment_pairs)
     lines.append(header)
-    lines.extend(rows)
-    return lines
+    return "\n".join(lines) + "\n" + rows
 
 
 def cmd_families(args: argparse.Namespace) -> int:
@@ -305,34 +331,25 @@ def cmd_families(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_rows(sol: KinkSolution, grid: tuple[float, float, int]) -> tuple[list[str], int]:
-    lo, hi, n = grid
-    xi = np.linspace(lo, hi, n)
+def _eval_csv(
+    sol: KinkSolution, grid: tuple[float, float, int], pairs: list[tuple[str, str]]
+) -> str:
+    """The xi,psi,is_singular CSV of sol on grid, headed by the comment pairs."""
+    xi = np.linspace(*grid)
     kp = sol.profile.kernel(xi)
-    values, singular = kp.value, kp.singular
-    rows = []
-    for x, v, s in zip(xi, values, singular):
-        if s:
-            rows.append(f"{_fmt(x)},,1")
-        else:
-            rows.append(f"{_fmt(x)},{_fmt(float(v))},0")
-    return rows, int(np.count_nonzero(singular))
+    if kp.singular.all():
+        raise SingularPoint("every grid point is singular")
+    return _csv_text(pairs, "xi,psi,is_singular", _csv_rows(xi, kp.value, kp.singular))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     sol = _build_solution(args)
-    rows, n_singular = _eval_rows(sol, args.grid)
-    if n_singular == len(rows):
-        print("error: every grid point is singular", file=sys.stderr)
-        return _DOMAIN_ERROR
-    lines = _csv_lines(_solution_comment_pairs(sol, args.grid), "xi,psi,is_singular", rows)
-    _write_lines(args.output_path, lines)
+    pairs = _solution_comment_pairs(sol, args.grid)
+    _write_text(args.output_path, _eval_csv(sol, args.grid, pairs))
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    import os
-
     if args.fig not in FIGURES:
         print(f"error: --fig must be one of {sorted(FIGURES)}", file=sys.stderr)
         return _USAGE_ERROR
@@ -345,10 +362,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
     written = []
     for lam_str in spec.lambdas:
         sol = lambda_driven_solution(setup, spec.case, spec.branch, float(lam_str), spec.xi0)
-        rows, _ = _eval_rows(sol, spec.grid)
         pairs = [("fig", str(spec.fig_id))] + _solution_comment_pairs(sol, spec.grid)
         name = f"fig{spec.fig_id}_lambda_{lam_str}.csv"
-        _write_lines(os.path.join(out_dir, name), _csv_lines(pairs, "xi,psi,is_singular", rows))
+        _write_text(os.path.join(out_dir, name), _eval_csv(sol, spec.grid, pairs))
         written.append(name)
 
     sidecar = [
@@ -467,10 +483,9 @@ def cmd_delay(args: argparse.Namespace) -> int:
         ("xi0", _fmt(xi0)),
     ]
     # a Moebius profile crosses its midpoint level once, so the flag is always 0
-    rows = [f"{_fmt(lam)},{_fmt(mid)},0" for lam, mid in zip(curve.lambdas, curve.midpoints)]
-    lines = _csv_lines(pairs, "lambda,xi_mid,multiplicity_flag", rows)
-    lines.append(f"# midpoint_inf={_fmt(curve.midpoint_inf)}")
-    _write_lines(args.output_path, lines)
+    rows = _csv_rows(curve.lambdas, curve.midpoints, np.zeros(len(curve.lambdas), dtype=bool))
+    text = _csv_text(pairs, "lambda,xi_mid,multiplicity_flag", rows)
+    _write_text(args.output_path, text + f"# midpoint_inf={_fmt(curve.midpoint_inf)}\n")
     return 0
 
 

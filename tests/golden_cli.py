@@ -55,6 +55,11 @@ ROSTER = [
     _eval("undriven-2", *_FIG13, "--index", "2"),
     # the grid has a node at xi = 0, exactly on the pole: one ",,1" row
     _eval("undriven-3", *_UNIT, "--index", "3"),
+    # the pole on the first and on the last node: a singular row at each end
+    ("eval-undriven-3-pole-first", ["eval", *_UNIT, "--index", "3", "--grid=0:10:101"],
+     "bytes", 0),
+    ("eval-undriven-3-pole-last", ["eval", *_UNIT, "--index", "3", "--grid=-10:0:101"],
+     "bytes", 0),
     _eval("undriven-4", *_FIG34, "--index", "4", "--xi0", "1.5"),
     _eval("driven-I+", *_FIG13, "--epsilon", "2.2772", "--case", "I", "--branch", "+"),
     _eval("driven-I-", *_FIG13, "--epsilon", "1.0351", "--case", "I", "--branch", "-"),

@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import glkinks
-from glkinks.cli import main
+from glkinks.cli import _csv_rows, main
 
 _RHO_PSI1 = "2.1213203435596428"  # 17 significant digits of 1.5*sqrt(2)
 
@@ -79,12 +82,17 @@ def test_eval_marks_singular_rows(capsys):
     assert "0,,1" in out.splitlines()
 
 
-def test_eval_every_point_singular(capsys):
-    rc, _, err = _run(
-        capsys, "eval", "--a1", "1", "--b1", "1", "--index", "3", "--grid", "-1e-13:1e-13:2"
-    )
+def test_eval_every_point_singular(tmp_path, capsys):
+    argv = ["eval", "--a1", "1", "--b1", "1", "--index", "3", "--grid", "-1e-13:1e-13:2"]
+    rc, out, err = _run(capsys, *argv)
     assert rc == 3
+    assert out == ""
     assert "singular" in err
+    target = tmp_path / "profile.csv"
+    rc, out, _ = _run(capsys, *argv, "--out", str(target))
+    assert rc == 3
+    assert out == ""
+    assert not target.exists()
 
 
 def test_eval_negative_grid_bound_is_accepted(capsys):
@@ -201,6 +209,77 @@ def test_eval_writes_file(tmp_path, capsys):
     assert text.startswith("# glkinks 0.1.0\n")
     assert text.endswith("\n") and not text.endswith("\n\n")
     assert "0,0.5,0" in text
+
+
+@pytest.mark.parametrize(
+    "index,grid,singular_rows",
+    [("1", "-5:5:11", 0), ("3", "-10:0:101", 1), ("3", "-10:10:201", 1)],
+    ids=["smooth", "pole-last", "pole-mid"],
+)
+def test_eval_out_file_matches_stdout(tmp_path, capsys, index, grid, singular_rows):
+    argv = ["eval", "--a1", "1", "--b1", "1", "--index", index, "--grid", grid]
+    rc, stdout, _ = _run(capsys, *argv)
+    assert rc == 0
+    assert stdout.count(",,1\n") == singular_rows
+    target = tmp_path / "profile.csv"
+    rc, out, _ = _run(capsys, *argv, "--out", str(target))
+    assert rc == 0
+    assert out == ""
+    assert target.read_bytes() == stdout.encode()
+
+
+# ----------------------------------------------------------- CSV rows
+
+
+def _reference_rows(xi, values, singular):
+    # the reference: every float formatted on its own by an f-string
+    return "".join(
+        f"{x:.17g},,1\n" if s else f"{x:.17g},{v:.17g},0\n"
+        for x, v, s in zip(xi.tolist(), values.tolist(), singular.tolist())
+    )
+
+
+@st.composite
+def _csv_tables(draw):
+    n = draw(st.integers(1, 40))
+    xi = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(), min_size=n, max_size=n))
+    marked = draw(
+        st.one_of(
+            st.just(()),
+            st.just((0,)),
+            st.just((n - 1,)),
+            st.integers(0, n - 1).map(lambda i: (i, min(i + 1, n - 1))),
+            st.integers(0, n - 1).map(lambda i: tuple(j for j in range(n) if j != i)),
+            st.lists(st.integers(0, n - 1)),
+        )
+    )
+    singular = np.zeros(n, dtype=bool)
+    singular[list(marked)] = True
+    return np.array(xi), np.array(values), singular
+
+
+@settings(deadline=None, max_examples=300)
+@given(_csv_tables())
+@example((np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)))
+def test_csv_rows_match_per_row_formatting(table):
+    assert _csv_rows(*table) == _reference_rows(*table)
+
+
+def test_csv_rows_edge_floats():
+    xi = np.array([-0.0, 5e-324, 0.1, 1e-300, 9007199254740993.0, 1.7976931348623157e308])
+    values = xi[::-1].copy()
+    singular = np.array([False, True, False, False, True, False])
+    rows = _csv_rows(xi, values, singular)
+    assert rows == _reference_rows(xi, values, singular)
+    assert rows == (
+        "-0,1.7976931348623157e+308,0\n"
+        "4.9406564584124654e-324,,1\n"
+        "0.10000000000000001,1e-300,0\n"
+        "1e-300,0.10000000000000001,0\n"
+        "9007199254740992,,1\n"
+        "1.7976931348623157e+308,-0,0\n"
+    )
 
 
 # --------------------------------------------------------------- figure
