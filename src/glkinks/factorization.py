@@ -39,17 +39,12 @@ class FactorPair:
     (q2, q1, q0) with F(psi)/psi = q2*psi^2 + q1*psi + q0, so the pair is
     self-checkable: the product defect and the sum defect below must both
     vanish identically in psi.
-
-    a1_factor records the +-1 gauge choice that makes the factor pair real
-    (the two factors can absorb a common imaginary scale; only its sign
-    matters and it fixes the sign of forced_rho).
     """
 
     f1_slope: float
     f1_offset: float
     f2_slope: float
     f2_offset: float
-    a1_factor: int
     forced_rho: float
     f_coeffs: tuple[float, float, float]
     label: str
@@ -146,7 +141,6 @@ def factor_undriven(a1: float, b1: float, variant: str = "first", sign=1) -> Fac
         f1_offset=f1_offset,
         f2_slope=f2_slope,
         f2_offset=f2_offset,
-        a1_factor=s,
         forced_rho=rho,
         f_coeffs=(-b1, 0.0, a1),
         label=f"undriven-{variant}{'+' if s > 0 else '-'}",
@@ -175,7 +169,6 @@ def factor_driven(setup: DrivenSetup, case: str = "I", sign=1) -> FactorPair:
         f1_offset=s * r_in_f1 / SQRT2,
         f2_slope=s * SQRT2 * sb,
         f2_offset=-s * SQRT2 * r_in_f2,
-        a1_factor=s,
         forced_rho=setup.rho(c, s),
         f_coeffs=(-setup.b1, 3.0 * setup.b1 * eps, setup.a1 - 3.0 * setup.b1 * eps * eps),
         label=f"driven-{c}{'+' if s > 0 else '-'}",

@@ -20,8 +20,11 @@ The families are
   * the lambda-indexed generalizations of all of the above, where lambda
     is the free constant of the general Riccati solution
     (lambda_zero_field_solution, lambda_driven_solution),
-  * the general Riccati solution itself in closed form (general_riccati),
-    kept as an independent code path so the two can be cross-checked.
+  * the general Riccati solution through any initial value
+    (general_riccati): one more Moebius-exponential profile (a rational
+    function when c2 == 0), built from the equation's c1, c2 rather than
+    from a family's closed form, so the two derivations can be
+    cross-checked.
 
 Each constructor returns a KinkSolution whose params carry the forced
 friction value and the drive and whose profile yields asymptotics and the
@@ -534,92 +537,84 @@ def _first_offender(xi, bad):
     return float(np.atleast_1d(np.asarray(xi, dtype=float))[np.atleast_1d(bad)][0])
 
 
+def _raise_where(bad, xi, what: str):
+    if np.any(bad):
+        raise SingularPoint(what, xi=_first_offender(xi, bad))
+
+
+def _riccati_profile(c1: float, c2: float, p: float, q: float, xi0: float) -> MobiusExpProfile:
+    """The solution of y' = c1*y^2 + c2*y (c2 != 0) through y(xi0) = p/q.
+
+    With u = exp(c2*(xi - xi0)) it is c2*p*u / (c1*p*(1 - u) + c2*q).  At
+    the pole, in the kernel's overflow-free scaling, both terms of the
+    denominator have the size of the smaller of -c1*p and c1*p + c2*q.
+    The singular mask compares the denominator with 1 + |numerator|, so
+    the coefficients are scaled by a power of two, which changes no value,
+    to bring that size to [1, 2) unless one would overflow: the mask then
+    flags the same distance from the pole whatever the scale of p and q.
+    """
+    coeffs = (c2 * p, -c1 * p, c1 * p + c2 * q)
+    smaller = min(abs(coeffs[1]), abs(coeffs[2]))
+    if smaller > 0.0:
+        k = min(1 - math.frexp(smaller)[1], 1023 - math.frexp(max(map(abs, coeffs)))[1])
+        coeffs = [math.ldexp(c, k) for c in coeffs]
+    num_u, den_u, den_1 = coeffs
+    return MobiusExpProfile(num_u, 0.0, den_u, den_1, c2, xi0)
+
+
 def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi):
     """General solution of y' = c1*y^2 + c2*y through the particular y1.
 
     y1 is the value at xi0 of the particular solution the general one is
     built around (any real number; 0 selects the trivial solution).  The
-    result is
+    paper writes the result as y1(xi) + exp(I1)/(lam - c1*I2); it is the
+    solution through y(xi0) = y1 + 1/lam = g/lam with g = lam*y1 + 1, so
+    for c2 != 0 it is one Moebius-exponential profile, evaluated by its
+    kernel:
 
-        y = y1(xi) + exp(I1)/(lam - c1*I2),
+        y = c2*g*u / (c1*g*(1 - u) + c2*lam),    u = exp(c2*(xi - xi0)),
 
-    where I1 and I2 are the integrals from xi0 to xi of (2*c1*y1 + c2) and
-    of exp(I1); both are elementary here and are evaluated in closed form.
-    At xi = xi0 the value is y1 + 1/lam.  As lam -> +-inf it collapses to
-    the particular solution.
+    and for c2 == 0 the rational g/(lam - c1*g*(xi - xi0)).  As
+    lam -> +-inf it collapses to the particular solution; lam = 0 is the
+    solution with its pole at xi0.
 
     Raises
     ------
+    ValueError
+        If c1 is zero or c1, c2, y1, lam or xi0 is not finite.
     SingularPoint
-        Where lam - c1*I2 vanishes, or where the particular solution
-        itself blows up.
+        Where the general solution has a pole, or where the particular
+        solution itself blows up.
     """
+    args = (c1, c2, y1, lam, xi0)
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"(c1, c2, y1, lam, xi0) must be finite, got {args}")
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
-    z = np.asarray(xi, dtype=float) - xi0
-    v0 = float(y1)
-    scalar = z.ndim == 0
-
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
-        if c2 == 0.0:
-            if v0 == 0.0:
-                expi1 = np.ones_like(z)
-                i2 = z
-                y1v = np.zeros_like(z)
-            else:
-                q = 1.0 - c1 * v0 * z
-                bad = np.abs(q) < SINGULAR_TOL * (1.0 + np.abs(c1 * v0 * z))
-                if np.any(bad):
-                    raise SingularPoint(
-                        "particular solution pole", xi=_first_offender(np.asarray(xi), bad)
-                    )
-                y1v = v0 / q
-                expi1 = 1.0 / (q * q)
-                i2 = z / q
-            denom = lam - c1 * i2
-        else:
-            zc2 = c2 * z
-            pos = zc2 > 0.0
-            e_dn = np.exp(np.where(pos, 0.0, zc2))      # exp(c2 z), decaying side
-            em1 = np.expm1(np.where(pos, 0.0, zc2))     # exp(c2 z) - 1, same side
-            e_up = np.exp(np.where(pos, -zc2, 0.0))     # exp(-c2 z), growing side
-            if v0 == 0.0:
-                y1v = np.zeros_like(z)
-                # assemble directly in an overflow-free form on each side
-                lo = c2 * lam - c1 * em1
-                hi = c2 * lam * e_up - c1 * (1.0 - e_up)
-                denom_scaled = np.where(pos, hi, lo)
-                bad = np.abs(denom_scaled) < SINGULAR_TOL * (1.0 + abs(c2 * lam) + abs(c1))
-                if np.any(bad):
-                    raise SingularPoint(
-                        "lambda denominator vanishes", xi=_first_offender(np.asarray(xi), bad)
-                    )
-                # e_dn is 1 on the growing side, matching hi's scaling by exp(-c2 z)
-                vals = y1v + c2 * e_dn / denom_scaled
-                if scalar:
-                    return float(vals)
-                return vals
-            k = c1 + c2 / v0
-            den_lo = k - c1 * e_dn          # valid where zc2 <= 0
-            den_hi = k * e_up - c1          # valid where zc2 > 0, scaled by exp(-c2 z)
-            den = np.where(pos, den_hi, den_lo)
-            bad = np.abs(den) < SINGULAR_TOL * (1.0 + abs(k) + abs(c1))
-            if np.any(bad):
-                raise SingularPoint(
-                    "particular solution pole", xi=_first_offender(np.asarray(xi), bad)
-                )
-            ratio = c2 / v0
-            y1v = np.where(pos, c2 / den_hi, c2 * e_dn / den_lo)
-            expi1 = ratio * ratio * np.where(pos, e_up / (den_hi * den_hi), e_dn / (den_lo * den_lo))
-            i2 = np.where(pos, (1.0 - e_up) / (v0 * den_hi), em1 / (v0 * den_lo))
-            denom = lam - c1 * i2
-
-        bad = np.abs(denom) < SINGULAR_TOL * (1.0 + np.abs(c1 * i2) + abs(lam))
-        if np.any(bad):
-            raise SingularPoint(
-                "lambda denominator vanishes", xi=_first_offender(np.asarray(xi), bad)
+    x = np.asarray(xi, dtype=float)
+    g = lam * y1 + 1.0
+    if c2 == 0.0:
+        z = x - xi0
+        with np.errstate(invalid="ignore", over="ignore"):
+            _raise_where(
+                np.abs(1.0 - c1 * y1 * z) < SINGULAR_TOL * (1.0 + np.abs(c1 * y1 * z)),
+                x,
+                "particular solution pole",
             )
-        vals = y1v + expi1 / denom
-    if scalar:
+            den = lam - c1 * g * z
+            _raise_where(
+                np.abs(den) < SINGULAR_TOL * (1.0 + abs(lam) + np.abs(c1 * g * z)),
+                x,
+                "lambda denominator vanishes",
+            )
+            vals = g / den
+    else:
+        _raise_where(
+            _riccati_profile(c1, c2, y1, 1.0, xi0).kernel(x).singular, x, "particular solution pole"
+        )
+        kp = _riccati_profile(c1, c2, g, lam, xi0).kernel(x)
+        _raise_where(kp.singular, x, "lambda denominator vanishes")
+        vals = kp.value
+    if x.ndim == 0:
         return float(vals)
     return vals

@@ -40,9 +40,9 @@ def undriven_rho(a1: float, sign: int = 1) -> float:
 
 def _as_sign(sign) -> int:
     """Normalize '+', '-', +1, -1 to an integer sign."""
-    if sign in (1, +1, "+", "plus"):
+    if sign in (1, "+"):
         return 1
-    if sign in (-1, "-", "minus"):
+    if sign in (-1, "-"):
         return -1
     raise ValueError(f"sign must be '+', '-', +1 or -1, got {sign!r}")
 
@@ -83,8 +83,8 @@ class DrivenSetup:
     """Derived quantities of the shifted (driven) cubic for one epsilon.
 
     r_plus >= r_minus always; both can be negative when epsilon < 0.
-    alpha1 and alpha2 are the corresponding kink rates r_pm/sqrt(2), stored
-    verbatim (they inherit the sign of r_pm).
+    alpha1 and alpha2 are the corresponding kink rates r_pm/sqrt(2) (they
+    inherit the sign of r_pm).
     """
 
     a1: float
@@ -94,8 +94,14 @@ class DrivenSetup:
     delta_eps: float
     r_plus: float
     r_minus: float
-    alpha1: float
-    alpha2: float
+
+    @property
+    def alpha1(self) -> float:
+        return self.r_plus / SQRT2
+
+    @property
+    def alpha2(self) -> float:
+        return self.r_minus / SQRT2
 
     def rate(self, case: str) -> float:
         """r_plus for case 'I', r_minus for case 'II'.
@@ -168,8 +174,6 @@ def driven_setup(a1: float, b1: float, epsilon: float) -> DrivenSetup:
         delta_eps=delta,
         r_plus=r_plus,
         r_minus=r_minus,
-        alpha1=r_plus / SQRT2,
-        alpha2=r_minus / SQRT2,
     )
 
 

@@ -105,8 +105,6 @@ def test_factor_driven_rejects_complex_delta():
         delta_eps=-8.0,
         r_plus=0.0,
         r_minus=0.0,
-        alpha1=0.0,
-        alpha2=0.0,
     )
     with pytest.raises(ComplexDelta):
         factor_driven(bad, "I", 1)
