@@ -1,12 +1,22 @@
 """Command line interface.
 
-Subcommands
------------
+Subcommands and the flags each one reads
+----------------------------------------
 families   list every family constructible from given coefficients
+           --a1 --b1 --epsilon --out
 eval       evaluate one profile on a grid and emit CSV
+           --a1 --b1 --epsilon --case --branch --index --variant --lambda
+           --xi0 --grid --out --montroll-a --montroll-b
 figure     emit the CSV data behind one of the four reference figures
+           --fig (required) --out
 verify     run the residual and integration oracle suite
+           --a1 --b1 --family --perturb-rho --out
 delay      emit the midpoint-versus-lambda delay curve as CSV
+           --fig --a1 --b1 --epsilon --case --branch --xi0 --lambda --out
+
+A subcommand rejects every other flag (exit 2).  ``delay --fig N`` takes
+its coefficients from the figure, so it accepts only --lambda and --out
+besides.
 
 All output is deterministic: numbers use 17 significant digits, lines end
 with a single newline, and nothing depends on time, environment or
@@ -91,6 +101,43 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+# Every flag, defined once; _COMMANDS names the flags each subcommand reads.
+_FLAGS = {
+    "--a1": dict(type=_finite_float, help="linear coefficient (> 0)"),
+    "--b1": dict(type=_finite_float, help="cubic coefficient (> 0)"),
+    "--epsilon": dict(type=_finite_float, help="constant-drive shift"),
+    "--case": dict(choices=("I", "II"), help="driven factorization case"),
+    "--branch": dict(choices=("+", "-"), help="front sign / lambda branch"),
+    "--index": dict(type=int, help="basic kink index 1..4"),
+    "--variant": dict(choices=("first", "second"), help="zero-field lambda variant"),
+    "--lambda": dict(
+        dest="lambda_list",
+        type=_finite_float,
+        action="append",
+        default=[],
+        metavar="LAM",
+        help="Riccati parameter (repeatable)",
+    ),
+    "--xi0": dict(type=_finite_float, help="profile center (default 0)"),
+    "--grid": dict(
+        type=_parse_grid,
+        default=(-15.0, 15.0, 4001),
+        metavar="LO:HI:N",
+        help="evaluation grid (default -15:15:4001)",
+    ),
+    "--out": dict(dest="output_path", help="output file (or directory for figure)"),
+    "--family": dict(help="check only the catalogue members of this family"),
+    "--montroll-a": dict(type=_finite_float, help="first cubic root for the unit kink"),
+    "--montroll-b": dict(type=_finite_float, help="second cubic root for the unit kink"),
+    "--fig": dict(type=int, choices=sorted(FIGURES), help="reference figure id"),
+    "--perturb-rho": dict(
+        type=_finite_float,
+        default=0.0,
+        help="test hook: offset added to every forced rho (makes the suite fail)",
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glkinks",
@@ -98,81 +145,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "construction, evaluation, verification, delay curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, grid_default=None):
-        p.add_argument("--a1", type=_finite_float, help="linear coefficient (> 0)")
-        p.add_argument("--b1", type=_finite_float, help="cubic coefficient (> 0)")
-        p.add_argument("--epsilon", type=_finite_float, help="constant-drive shift")
-        p.add_argument("--case", choices=("I", "II"), help="driven factorization case")
-        p.add_argument("--branch", choices=("+", "-"), help="front sign / lambda branch")
-        p.add_argument("--index", type=int, help="basic kink index 1..4")
-        p.add_argument("--variant", choices=("first", "second"), help="zero-field lambda variant")
-        p.add_argument(
-            "--lambda",
-            dest="lambda_list",
-            type=_finite_float,
-            action="append",
-            default=[],
-            metavar="LAM",
-            help="Riccati parameter (repeatable)",
-        )
-        p.add_argument("--xi0", type=_finite_float, default=0.0, help="profile center (default 0)")
-        p.add_argument(
-            "--grid",
-            type=_parse_grid,
-            default=grid_default,
-            metavar="LO:HI:N",
-            help="evaluation grid",
-        )
-        p.add_argument("--out", dest="output_path", help="output file (or directory for figure)")
-        p.add_argument("--family", help="family tag; inferred from flags when omitted")
-        p.add_argument(
-            "--montroll-a", type=_finite_float, help="first cubic root for the unit kink"
-        )
-        p.add_argument(
-            "--montroll-b", type=_finite_float, help="second cubic root for the unit kink"
-        )
-        p.add_argument("--fig", type=int, help="reference figure id 1..4")
-
-    p_families = sub.add_parser("families", help="list constructible families")
-    add_common(p_families)
-    p_families.set_defaults(func=cmd_families)
-
-    p_eval = sub.add_parser("eval", help="evaluate one profile on a grid as CSV")
-    add_common(p_eval, grid_default=(-15.0, 15.0, 4001))
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_figure = sub.add_parser("figure", help="emit reference-figure CSV data")
-    add_common(p_figure)
-    p_figure.set_defaults(func=cmd_figure)
-
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    add_common(p_verify)
-    p_verify.add_argument(
-        "--perturb-rho",
-        type=_finite_float,
-        default=0.0,
-        help="test hook: offset added to every forced rho (makes the suite fail)",
-    )
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_delay = sub.add_parser("delay", help="emit midpoint-vs-lambda delay curve as CSV")
-    add_common(p_delay)
-    p_delay.set_defaults(func=cmd_delay)
-
+    for name, (func, help_text, flags, required) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, required=flag in required, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
+
+
+def _flag_names(names) -> str:
+    return ", ".join("--" + n.replace("_", "-") for n in names)
 
 
 def _require(args: argparse.Namespace, *names: str):
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise ValueError(f"missing required flags for this family: {flags}")
+        raise ValueError(f"missing required flags for this family: {_flag_names(missing)}")
 
 
 def _infer_family(args: argparse.Namespace) -> str:
-    if args.family is not None:
-        return args.family
     if args.montroll_a is not None or args.montroll_b is not None:
         return "montroll"
     if args.epsilon is not None:
@@ -182,9 +173,14 @@ def _infer_family(args: argparse.Namespace) -> str:
     if args.index is not None:
         return "undriven"
     raise ValueError(
-        "cannot infer family; pass --family or identifying flags "
+        "cannot infer family; pass identifying flags "
         "(--index, --epsilon, --lambda, --montroll-a/--montroll-b)"
     )
+
+
+def _xi0(args) -> float:
+    """--xi0, or 0; it has no argparse default so delay can tell it was given."""
+    return 0.0 if args.xi0 is None else args.xi0
 
 
 def _single_lambda(args: argparse.Namespace) -> float:
@@ -195,29 +191,24 @@ def _single_lambda(args: argparse.Namespace) -> float:
 
 def _build_solution(args: argparse.Namespace) -> KinkSolution:
     family = _infer_family(args)
+    xi0 = _xi0(args)
     if family == "montroll":
         _require(args, "montroll_a", "montroll_b")
-        return montroll_solution(args.montroll_a, args.montroll_b, args.xi0)
+        return montroll_solution(args.montroll_a, args.montroll_b, xi0)
     if family == "undriven":
         _require(args, "a1", "b1", "index")
-        return undriven_solution(ModelParams(args.a1, args.b1), args.index, args.xi0)
+        return undriven_solution(ModelParams(args.a1, args.b1), args.index, xi0)
     if family == "driven":
         _require(args, "a1", "b1", "epsilon", "case", "branch")
         setup = driven_setup(args.a1, args.b1, args.epsilon)
-        return driven_solution(setup, args.case, args.branch, args.xi0)
+        return driven_solution(setup, args.case, args.branch, xi0)
     if family == "lambda-driven":
         _require(args, "a1", "b1", "epsilon", "case", "branch")
         setup = driven_setup(args.a1, args.b1, args.epsilon)
-        return lambda_driven_solution(
-            setup, args.case, args.branch, _single_lambda(args), args.xi0
-        )
-    if family == "lambda-zero-field":
-        _require(args, "a1", "b1", "branch", "variant")
-        params = ModelParams(args.a1, args.b1)
-        return lambda_zero_field_solution(
-            params, args.branch, args.variant, _single_lambda(args), args.xi0
-        )
-    raise ValueError(f"unknown family {family!r}")
+        return lambda_driven_solution(setup, args.case, args.branch, _single_lambda(args), xi0)
+    _require(args, "a1", "b1", "branch", "variant")
+    params = ModelParams(args.a1, args.b1)
+    return lambda_zero_field_solution(params, args.branch, args.variant, _single_lambda(args), xi0)
 
 
 def _solution_comment_pairs(
@@ -350,9 +341,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    if args.fig not in FIGURES:
-        print(f"error: --fig must be one of {sorted(FIGURES)}", file=sys.stderr)
-        return _USAGE_ERROR
     spec = FIGURES[args.fig]
     out_dir = args.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -429,35 +417,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+# the delay flags that --fig replaces; FigureSpec has fields of the same names
+_DELAY_SET = ("a1", "b1", "epsilon", "case", "branch", "xi0")
+
+
 def cmd_delay(args: argparse.Namespace) -> int:
-    if args.fig is not None:
-        if args.fig not in FIGURES:
-            print(f"error: --fig must be one of {sorted(FIGURES)}", file=sys.stderr)
-            return _USAGE_ERROR
-        spec = FIGURES[args.fig]
-        a1, b1, eps, case, branch, xi0 = (
-            spec.a1,
-            spec.b1,
-            spec.epsilon,
-            spec.case,
-            spec.branch,
-            spec.xi0,
-        )
-        lams = args.lambda_list or tuple(float(s) for s in spec.lambdas)
-    else:
+    if args.fig is None:
         _require(args, "a1", "b1", "epsilon", "case", "branch")
-        a1, b1, eps, case, branch, xi0 = (
-            args.a1,
-            args.b1,
-            args.epsilon,
-            args.case,
-            args.branch,
-            args.xi0,
-        )
-        lams = args.lambda_list
+        source, lams = args, args.lambda_list
+    else:
+        given = [n for n in _DELAY_SET if getattr(args, n) is not None]
+        if given:
+            raise ValueError(f"--fig sets {_flag_names(given)}; give one or the other")
+        source = FIGURES[args.fig]
+        lams = args.lambda_list or source.lambdas
     if not lams:
         raise ValueError("delay needs at least one --lambda")
     lams = tuple(sorted(set(float(x) for x in lams)))
+    a1, b1, eps, case, branch = source.a1, source.b1, source.epsilon, source.case, source.branch
+    xi0 = _xi0(source)
 
     setup = driven_setup(a1, b1, eps)
     domain = lambda_forbidden_interval(setup, case, branch)
@@ -487,6 +465,32 @@ def cmd_delay(args: argparse.Namespace) -> int:
     text = _csv_text(pairs, "lambda,xi_mid,multiplicity_flag", rows)
     _write_text(args.output_path, text + f"# midpoint_inf={_fmt(curve.midpoint_inf)}\n")
     return 0
+
+
+# name: (handler, help, the flags it reads, the required ones among them)
+_COMMANDS = {
+    "families": (cmd_families, "list constructible families", "--a1 --b1 --epsilon --out", ()),
+    "eval": (
+        cmd_eval,
+        "evaluate one profile on a grid as CSV",
+        "--a1 --b1 --epsilon --case --branch --index --variant --lambda --xi0 --grid --out "
+        "--montroll-a --montroll-b",
+        (),
+    ),
+    "figure": (cmd_figure, "emit reference-figure CSV data", "--fig --out", ("--fig",)),
+    "verify": (
+        cmd_verify,
+        "run the verification suite",
+        "--a1 --b1 --family --perturb-rho --out",
+        (),
+    ),
+    "delay": (
+        cmd_delay,
+        "emit midpoint-vs-lambda delay curve as CSV",
+        "--fig --a1 --b1 --epsilon --case --branch --xi0 --lambda --out",
+        (),
+    ),
+}
 
 
 def _merge_grid_flag(argv: list[str]) -> list[str]:

@@ -583,8 +583,9 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
     ValueError
         If c1 is zero or c1, c2, y1, lam or xi0 is not finite.
     SingularPoint
-        Where the general solution has a pole, or where the particular
-        solution itself blows up.
+        Where the general solution has a pole.  A pole of the particular
+        solution through y1 is removable in the general one, which is
+        finite there.
     """
     args = (c1, c2, y1, lam, xi0)
     if not all(map(math.isfinite, args)):
@@ -596,11 +597,6 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
     if c2 == 0.0:
         z = x - xi0
         with np.errstate(invalid="ignore", over="ignore"):
-            _raise_where(
-                np.abs(1.0 - c1 * y1 * z) < SINGULAR_TOL * (1.0 + np.abs(c1 * y1 * z)),
-                x,
-                "particular solution pole",
-            )
             den = lam - c1 * g * z
             _raise_where(
                 np.abs(den) < SINGULAR_TOL * (1.0 + abs(lam) + np.abs(c1 * g * z)),
@@ -609,9 +605,6 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
             )
             vals = g / den
     else:
-        _raise_where(
-            _riccati_profile(c1, c2, y1, 1.0, xi0).kernel(x).singular, x, "particular solution pole"
-        )
         kp = _riccati_profile(c1, c2, g, lam, xi0).kernel(x)
         _raise_where(kp.singular, x, "lambda denominator vanishes")
         vals = kp.value

@@ -215,18 +215,11 @@ class AdmissibleRange:
         return f"{lo}{self.lower:.17g}, {self.upper:.17g}{hi}"
 
 
-def epsilon_admissible_interval(
-    a1: float,
-    b1: float,
-    case: str = "I",
-    front_sign=1,
-    require_positive_rho: bool = True,
-) -> AdmissibleRange:
+def epsilon_admissible_interval(a1: float, b1: float, case: str, front_sign) -> AdmissibleRange:
     """Epsilon window on which the requested driven branch exists.
 
-    With require_positive_rho=False only the reality constraint
-    eps^2 <= 4*a1/(3*b1) is applied (both endpoints closed).  Otherwise the
-    window additionally demands the branch friction be positive:
+    The window is the reality constraint eps^2 <= 4*a1/(3*b1) narrowed to
+    where the branch friction is positive:
 
         case I,  '+': ( sqrt(a1/b1),           (2/sqrt(3))*sqrt(a1/b1) ]
         case I,  '-': [ -(2/sqrt(3))*sqrt(a1/b1), sqrt(a1/b1)          )
@@ -236,8 +229,6 @@ def epsilon_admissible_interval(
     validate_params(ModelParams(a1, b1))
     root = math.sqrt(a1 / b1)
     outer = 2.0 / math.sqrt(3.0) * root
-    if not require_positive_rho:
-        return AdmissibleRange(-outer, outer, False, False)
     c = _as_case(case)
     s = _as_sign(front_sign)
     if c == "I":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -21,6 +22,91 @@ def _run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _assert_argparse_error(capsys, argv, *in_err):
+    """argparse rejects argv: exit 2, nothing on stdout, in_err on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    for text in in_err:
+        assert text in captured.err
+
+
+# ----------------------------------------------------------- flag surface
+
+# The flags each subcommand reads, and so accepts; 33 in all.
+FLAG_TABLE = {
+    "families": {"--a1", "--b1", "--epsilon", "--out"},
+    "eval": {"--a1", "--b1", "--epsilon", "--case", "--branch", "--index", "--variant",
+             "--lambda", "--xi0", "--grid", "--out", "--montroll-a", "--montroll-b"},
+    "figure": {"--fig", "--out"},
+    "verify": {"--a1", "--b1", "--family", "--perturb-rho", "--out"},
+    "delay": {"--fig", "--a1", "--b1", "--epsilon", "--case", "--branch", "--xi0",
+              "--lambda", "--out"},
+}
+
+# a value each flag would accept
+_FLAG_VALUE = {
+    "--a1": "1", "--b1": "1", "--epsilon": "0.5", "--case": "I", "--branch": "+",
+    "--index": "1", "--variant": "first", "--lambda": "1", "--xi0": "0", "--grid": "0:1:3",
+    "--out": "out.csv", "--family": "undriven", "--montroll-a": "0", "--montroll-b": "1",
+    "--fig": "1", "--perturb-rho": "0.1",
+}
+
+# an argv each subcommand would run, before the flag under test is added
+_VALID_ARGV = {
+    "families": ["--a1", "1", "--b1", "1"],
+    "eval": ["--a1", "1", "--b1", "1", "--index", "1", "--grid", "0:1:3"],
+    "figure": ["--fig", "1"],
+    "verify": [],
+    "delay": ["--fig", "1"],
+}
+
+
+def test_flag_table():
+    assert set(_FLAG_VALUE) == set().union(*FLAG_TABLE.values())
+    assert sum(map(len, FLAG_TABLE.values())) == 33
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+def test_help_lists_exactly_the_flags_read(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z0-9][a-z0-9-]*", out)) - {"--help"} == FLAG_TABLE[command]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c in sorted(FLAG_TABLE) for f in sorted(_FLAG_VALUE) if f not in FLAG_TABLE[c]],
+)
+def test_flag_not_read_is_rejected(capsys, command, flag):
+    argv = [command, *_VALID_ARGV[command], flag, _FLAG_VALUE[flag]]
+    _assert_argparse_error(capsys, argv, f"unrecognized arguments: {flag}")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--a1", "2"], ["--xi0", "0.3"], ["--a1", "2", "--b1", "5", "--epsilon", "0.1"]],
+    ids=["a1", "xi0", "a1-b1-epsilon"],
+)
+def test_delay_fig_rejects_family_flags(capsys, flags):
+    rc, out, err = _run(capsys, "delay", "--fig", "1", *flags)
+    assert rc == 2
+    assert out == ""
+    assert flags[0] in err and "--fig" in err
+
+
+def test_delay_fig_takes_lambda(capsys):
+    rc, out, _ = _run(capsys, "delay", "--fig", "1", "--lambda", "10")
+    assert rc == 0
+    rows = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+    assert rows[0] == "lambda,xi_mid,multiplicity_flag"
+    assert [row.split(",")[0] for row in rows[1:]] == ["10"]
 
 
 # ------------------------------------------------------------- families
@@ -147,8 +233,8 @@ def test_eval_usage_errors(capsys):
     )
     assert rc == 2
     assert "exactly one" in err
-    rc, _, err = _run(capsys, "eval", "--family", "bogus", "--a1", "1", "--b1", "1")
-    assert rc == 2
+    _assert_argparse_error(capsys, ["eval", "--family", "bogus", "--a1", "1", "--b1", "1"],
+                           "--family")
     rc, _, err = _run(capsys, "eval", "--index", "1")
     assert rc == 2
     assert "--a1" in err
@@ -310,11 +396,8 @@ def test_figure_writes_expected_files(tmp_path, capsys):
 
 
 def test_figure_requires_known_id(capsys):
-    rc, _, err = _run(capsys, "figure", "--fig", "5")
-    assert rc == 2
-    assert "--fig" in err
-    rc, _, err = _run(capsys, "figure")
-    assert rc == 2
+    _assert_argparse_error(capsys, ["figure", "--fig", "5"], "--fig")
+    _assert_argparse_error(capsys, ["figure"], "--fig")
 
 
 # --------------------------------------------------------------- verify
@@ -460,8 +543,7 @@ def test_delay_requires_lambdas_and_parameters(capsys):
     assert "lambda" in err
     rc, _, err = _run(capsys, "delay", "--lambda", "1")
     assert rc == 2
-    rc, _, err = _run(capsys, "delay", "--fig", "9")
-    assert rc == 2
+    _assert_argparse_error(capsys, ["delay", "--fig", "9"], "--fig")
 
 
 def test_delay_degenerate_case_root_is_domain_error(capsys):

@@ -389,9 +389,18 @@ def test_general_riccati_pure_quadratic_closed_form():
 def test_general_riccati_pure_quadratic_poles():
     with pytest.raises(SingularPoint):
         general_riccati(1.0, 0.0, 0.0, 1.0, 0.0, np.array([0.5, 1.0]))
-    with pytest.raises(SingularPoint):
-        # particular solution v0/(1 - c1*v0*z) blows up at z = 1
-        general_riccati(1.0, 0.0, 1.0, -3.0, 0.0, np.array([0.5, 1.0]))
+    # c1 = y1 = 1, lam = -3: the particular solution through y1 blows up at
+    # z = 1 for c2 = 0 and at z = log 2 for c2 = 1, but those poles are
+    # removable and the general solution is finite there
+    c1, y1, lam = 1.0, 1.0, -3.0
+    g = lam * y1 + 1.0
+    z = 1.0
+    assert general_riccati(c1, 0.0, y1, lam, 0.0, z) == g / (lam - c1 * g * z) == 2.0
+    c2, z = 1.0, math.log(2.0)
+    u = math.exp(c2 * z)
+    mobius = c2 * g * u / (c1 * g * (1.0 - u) + c2 * lam)
+    assert general_riccati(c1, c2, y1, lam, 0.0, z) == pytest.approx(mobius, rel=1e-15)
+    assert mobius == pytest.approx(4.0, rel=1e-15)
 
 
 def test_general_riccati_collapses_to_particular_at_large_lambda():

@@ -178,9 +178,6 @@ def test_epsilon_admissible_interval_windows():
     assert (w.lower, w.upper) == pytest.approx((-root, outer), rel=1e-15)
     w = epsilon_admissible_interval(1.0, 1.0, "II", -1)
     assert (w.lower, w.upper) == pytest.approx((-outer, -root), rel=1e-15)
-    w = epsilon_admissible_interval(1.0, 1.0, require_positive_rho=False)
-    assert (w.lower, w.upper) == pytest.approx((-outer, outer), rel=1e-15)
-    assert not w.lower_open and not w.upper_open
 
 
 @pytest.mark.parametrize("fig_id", sorted(_REFERENCE_RHO))
