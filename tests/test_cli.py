@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import glkinks
 from glkinks.cli import _csv_rows, main
+from glkinks.verify import integrate_second_order
 
 _RHO_PSI1 = "2.1213203435596428"  # 17 significant digits of 1.5*sqrt(2)
 
@@ -240,6 +241,25 @@ def test_eval_usage_errors(capsys):
     assert "--a1" in err
 
 
+@pytest.mark.parametrize(
+    "argv,family,foreign",
+    [
+        (["--a1", "1", "--b1", "1", "--index", "1", "--epsilon", "0.5", "--case", "I",
+          "--branch", "+"], "driven", "--index"),
+        (["--a1", "1", "--b1", "1", "--epsilon", "0.5", "--case", "I", "--branch", "+",
+          "--variant", "first"], "driven", "--variant"),
+        (["--montroll-a", "0", "--montroll-b", "1", "--a1", "1", "--b1", "1"], "montroll",
+         "--a1, --b1"),
+    ],
+    ids=["index-beside-epsilon", "variant-beside-epsilon", "a1-b1-beside-montroll"],
+)
+def test_eval_rejects_flags_of_another_family(capsys, argv, family, foreign):
+    rc, out, err = _run(capsys, "eval", *argv, "--grid", "0:1:3")
+    assert rc == 2
+    assert out == ""
+    assert f"family {family} does not read {foreign}" in err
+
+
 def test_eval_rejects_complex_delta(capsys):
     rc, _, err = _run(
         capsys,
@@ -422,6 +442,42 @@ def test_verify_scoped_family(capsys):
     rc, out, _ = _run(capsys, "verify", "--family", "undriven")
     assert rc == 0
     assert "5/5 checks passed" in out
+
+
+def _rk4_line(out: str) -> str:
+    (line,) = [ln for ln in out.splitlines() if "rk4 undriven-1" in ln]
+    return line
+
+
+@pytest.mark.parametrize("a1,b1", [("1e6", "1e-6"), ("1e-6", "1e6")], ids=["wide", "narrow"])
+def test_verify_rk4_passes_at_extreme_scales(capsys, a1, b1):
+    # the residual lines at these scales are another matter: only RK4 is checked
+    _, out, _ = _run(capsys, "verify", "--a1", a1, "--b1", b1, "--family", "undriven")
+    assert _rk4_line(out).startswith("PASS  ")
+
+
+@pytest.mark.parametrize("scale", [[], ["--a1", "1e-6", "--b1", "1e6"]], ids=["unit", "narrow"])
+def test_verify_rk4_fails_with_perturbed_rho(capsys, scale):
+    # at --a1 1e6 the forced rho is about 2121, and an offset of 0.001 moves
+    # the profile by less than the 1e-6 relative gate
+    rc, out, _ = _run(capsys, "verify", *scale, "--family", "undriven", "--perturb-rho", "0.001")
+    assert rc == 1
+    assert _rk4_line(out).startswith("FAIL  ")
+
+
+def test_verify_rk4_steps_in_kink_widths(capsys, monkeypatch):
+    # a fixed step of 1e-3 would take 28.3 M steps over this 1,414-wide kink
+    steps = []
+
+    def counting(*args):
+        traj = integrate_second_order(*args)
+        steps.append(traj.xi_values.size - 1)
+        return traj
+
+    monkeypatch.setattr("glkinks.cli.integrate_second_order", counting)
+    rc, _, _ = _run(capsys, "verify", "--a1", "1e-6", "--b1", "1e6", "--family", "undriven")
+    assert rc == 0
+    assert len(steps) == 1 and steps[0] <= 3001
 
 
 def test_verify_unknown_family(capsys):

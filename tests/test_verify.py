@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glkinks.errors import DomainMismatch, EmptyGrid, NonFinite
 from glkinks.kinks import (
@@ -22,6 +24,7 @@ from glkinks.verify import (
     residual,
     verification_grid,
 )
+from glkinks.verify import _BLOWUP, _rk4_span
 
 from conftest import rk4_sup
 
@@ -173,3 +176,177 @@ def test_rk4_halving_ratio_is_fourth_order():
     sol = undriven_solution(ModelParams(1.0, 1.0), 1)
     ratio = rk4_sup(sol, 2e-2) / rk4_sup(sol, 1e-2)
     assert 12.0 <= ratio <= 20.0
+
+
+# ------------------------------------------ bit identity of the RK4 loops
+#
+# The integrators were once written with one closure call per stage; the two
+# references below are those loops, kept to prove that the straight-line
+# loops round every stage, store and blow-up exactly as they did.
+
+
+def _reference_second_order(params, psi0, dpsi0, xi_span, step):
+    lo, hi, n, h = _rk4_span(xi_span, step)
+    a1, b1, rho, drive = params.a1, params.b1, params.rho, params.drive
+
+    def acc(y, v):
+        return -rho * v + b1 * y * y * y - a1 * y - drive
+
+    xs = lo + h * np.arange(n + 1)
+    ys = np.empty(n + 1)
+    vs = np.empty(n + 1)
+    y, v = float(psi0), float(dpsi0)
+    ys[0], vs[0] = y, v
+    for i in range(n):
+        k1y = v
+        k1v = acc(y, v)
+        k2y = v + 0.5 * h * k1v
+        k2v = acc(y + 0.5 * h * k1y, k2y)
+        k3y = v + 0.5 * h * k2v
+        k3v = acc(y + 0.5 * h * k2y, k3y)
+        k4y = v + h * k3v
+        k4v = acc(y + h * k3y, k4y)
+        y += h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        if not (math.isfinite(y) and math.isfinite(v)) or abs(y) > _BLOWUP or abs(v) > _BLOWUP:
+            partial = Trajectory(xs[: i + 1], ys[: i + 1].copy(), vs[: i + 1].copy(), h)
+            raise NonFinite(
+                f"integration blew up at xi={xs[i + 1]}", xi=float(xs[i + 1]), trajectory=partial
+            )
+        ys[i + 1], vs[i + 1] = y, v
+    return Trajectory(xs, ys, vs, h)
+
+
+def _reference_riccati(c1, c2, y0, xi_span, step):
+    lo, hi, n, h = _rk4_span(xi_span, step)
+
+    def slope(y):
+        return c1 * y * y + c2 * y
+
+    xs = lo + h * np.arange(n + 1)
+    ys = np.empty(n + 1)
+    ds = np.empty(n + 1)
+    y = float(y0)
+    ys[0], ds[0] = y, slope(y)
+    for i in range(n):
+        k1 = slope(y)
+        k2 = slope(y + 0.5 * h * k1)
+        k3 = slope(y + 0.5 * h * k2)
+        k4 = slope(y + h * k3)
+        y += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if not math.isfinite(y) or abs(y) > _BLOWUP:
+            partial = Trajectory(xs[: i + 1], ys[: i + 1].copy(), ds[: i + 1].copy(), h)
+            raise NonFinite(
+                f"integration blew up at xi={xs[i + 1]}", xi=float(xs[i + 1]), trajectory=partial
+            )
+        ys[i + 1], ds[i + 1] = y, slope(y)
+    return Trajectory(xs, ys, ds, h)
+
+
+def _outcome(integrate, *args):
+    """(None, trajectory) on success, ((xi, message), partial) on blow-up."""
+    try:
+        return None, integrate(*args)
+    except NonFinite as exc:
+        return (exc.xi, str(exc)), exc.trajectory
+
+
+def _assert_same_outcome(got, want):
+    assert got[0] == want[0]
+    for field in ("xi_values", "psi_values", "dpsi_values"):
+        assert np.array_equal(getattr(got[1], field), getattr(want[1], field)), field
+    assert got[1].step == want[1].step
+
+
+def _second_order_args(log_a1, log_b1, rho_w, drive_w, psi_w, dpsi_w, start_w, length_w,
+                       log_step_w):
+    """Scale-free draw: psi in units of sqrt(a1/b1), xi in widths 1/sqrt(a1)."""
+    a1, b1 = 10.0**log_a1, 10.0**log_b1
+    k, s = math.sqrt(a1), math.sqrt(a1 / b1)
+    params = ModelParams(a1, b1, rho_w * k, gamma1=1.0, eta=drive_w * a1 * s)
+    span = (start_w / k, (start_w + length_w) / k)
+    return params, psi_w * s, dpsi_w * s * k, span, 10.0**log_step_w / k
+
+
+def _riccati_args(log_c1, log_c2, c1_sign, c2_sign, y_w, start_w, length_w, log_step_w):
+    """y in units of the nonzero fixed point |c2/c1|, xi in units of 1/|c2|."""
+    c1, c2 = c1_sign * 10.0**log_c1, c2_sign * 10.0**log_c2
+    r = 10.0**log_c2
+    span = (start_w / r, (start_w + length_w) / r)
+    return c1, c2, y_w * abs(c2 / c1), span, 10.0**log_step_w / r
+
+
+_SPAN_W = st.floats(-20.0, 20.0).filter(lambda x: abs(x) >= 0.5)
+
+# (draw, blows up): a forward kink, a backward span, and a step of 3 widths
+_SECOND_ORDER_EXAMPLES = [
+    ((0.0, 0.0, 2.1213203435596428, 0.0, 0.9, 0.0, -10.0, 20.0, -1.5), False),
+    ((0.0, 0.0, -1.0, 0.0, 0.5, 0.0, 10.0, -20.0, -1.0), False),
+    ((3.0, -3.0, 0.0, 0.1, 3.0, 3.0, 0.0, 20.0, 0.5), True),
+]
+# the logistic curve, and a solution with a pole in the span
+_RICCATI_EXAMPLES = [
+    ((0.0, 0.0, -1.0, 1.0, 0.5, 0.0, 6.0, -1.5), False),
+    ((0.0, 0.0, 1.0, 1.0, 2.0, 0.0, 10.0, -1.0), True),
+]
+
+
+@pytest.mark.parametrize(
+    "integrate,args,blows_up",
+    [(integrate_second_order, _second_order_args(*d), b) for d, b in _SECOND_ORDER_EXAMPLES]
+    + [(integrate_riccati, _riccati_args(*d), b) for d, b in _RICCATI_EXAMPLES],
+)
+def test_bit_identity_examples_reach_both_outcomes(integrate, args, blows_up):
+    assert (_outcome(integrate, *args)[0] is not None) == blows_up
+
+
+def _with_examples(examples):
+    def wrap(test):
+        for draw, _ in examples:
+            test = example(*draw)(test)
+        return test
+
+    return wrap
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    log_a1=st.floats(-3.0, 3.0),
+    log_b1=st.floats(-3.0, 3.0),
+    rho_w=st.floats(-4.0, 4.0),
+    drive_w=st.floats(-0.5, 0.5),
+    psi_w=st.floats(-3.0, 3.0),
+    dpsi_w=st.floats(-3.0, 3.0),
+    start_w=st.floats(-10.0, 10.0),
+    length_w=_SPAN_W,
+    log_step_w=st.floats(-1.5, 0.5),
+)
+@_with_examples(_SECOND_ORDER_EXAMPLES)
+def test_second_order_loop_is_bit_identical(
+    log_a1, log_b1, rho_w, drive_w, psi_w, dpsi_w, start_w, length_w, log_step_w
+):
+    args = _second_order_args(
+        log_a1, log_b1, rho_w, drive_w, psi_w, dpsi_w, start_w, length_w, log_step_w
+    )
+    _assert_same_outcome(
+        _outcome(integrate_second_order, *args), _outcome(_reference_second_order, *args)
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    log_c1=st.floats(-3.0, 3.0),
+    log_c2=st.floats(-3.0, 3.0),
+    c1_sign=st.sampled_from([-1.0, 1.0]),
+    c2_sign=st.sampled_from([-1.0, 1.0]),
+    y_w=st.floats(-3.0, 3.0),
+    start_w=st.floats(-5.0, 5.0),
+    length_w=_SPAN_W,
+    log_step_w=st.floats(-1.5, 0.5),
+)
+@_with_examples(_RICCATI_EXAMPLES)
+def test_riccati_loop_is_bit_identical(
+    log_c1, log_c2, c1_sign, c2_sign, y_w, start_w, length_w, log_step_w
+):
+    args = _riccati_args(log_c1, log_c2, c1_sign, c2_sign, y_w, start_w, length_w, log_step_w)
+    _assert_same_outcome(_outcome(integrate_riccati, *args), _outcome(_reference_riccati, *args))
