@@ -61,8 +61,6 @@ from .model import (
     epsilon_admissible_interval,
     epsilon_from_field,
     map_condon_params,
-    rho_case1,
-    rho_case2,
     undriven_rho,
     validate_params,
 )
@@ -125,8 +123,6 @@ __all__ = [
     "montroll_roots",
     "montroll_solution",
     "residual",
-    "rho_case1",
-    "rho_case2",
     "singularity_scan",
     "switching_midpoint",
     "undriven_rho",

@@ -342,10 +342,11 @@ def _eval_csv(
 ) -> str:
     """The xi,psi,is_singular CSV of sol on grid, headed by the comment pairs."""
     xi = np.linspace(*grid)
-    kp = sol.profile.kernel(xi)
-    if kp.singular.all():
+    singular = sol.profile.is_singular(xi)
+    if singular.all():
         raise SingularPoint("every grid point is singular")
-    return _csv_text(pairs, "xi,psi,is_singular", _csv_rows(xi, kp.value, kp.singular))
+    values = sol.profile.value(xi)
+    return _csv_text(pairs, "xi,psi,is_singular", _csv_rows(xi, values, singular))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

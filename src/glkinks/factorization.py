@@ -26,7 +26,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import ComplexDelta
-from .model import SQRT2, DrivenSetup, ModelParams, _as_case, _as_sign, validate_params
+from .model import (
+    SQRT2,
+    DrivenSetup,
+    ModelParams,
+    _as_case,
+    _as_sign,
+    undriven_rho,
+    validate_params,
+)
 
 _MONTROLL_ROOTS = (0.0, 1.0, -1.0)
 
@@ -127,7 +135,7 @@ def factor_undriven(a1: float, b1: float, variant: str = "first", sign=1) -> Fac
     s = _as_sign(sign)
     sa = math.sqrt(a1)
     sb = math.sqrt(b1)
-    rho = s * 1.5 * SQRT2 * sa
+    rho = undriven_rho(a1, s)
     if variant == "first":
         f1_slope, f1_offset = s * sb / SQRT2, -s * sa / SQRT2
         f2_slope, f2_offset = -s * SQRT2 * sb, -s * SQRT2 * sa

@@ -9,7 +9,8 @@ which makes the analytic machinery uniform: derivatives, asymptotic limits,
 the (at most one) real pole and the (at most one) crossing of any level,
 such as the switching midpoint, all come from the same four coefficients,
 and one kernel pass (MobiusExpProfile.kernel) evaluates value, derivatives
-and singular mask together from a single exponential.
+and denominator together from a single exponential.  A point is singular
+when it lies within SINGULAR_TOL kink widths of the closed-form pole.
 The families are
 
   * the two-root kink of the unit cubic (montroll_solution),
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from .model import (
     validate_params,
 )
 
-# A point counts as singular when the profile denominator is this small
-# relative to the numerator.
+# A point counts as singular when it lies within this many kink widths
+# (1/|rate|) of the profile's pole.
 SINGULAR_TOL = 1e-12
 
 # Friction sign attached to each basic double-well kink index, recovered
@@ -73,24 +73,14 @@ class ProfilePass:
     Each array has the shape of the points.  derivatives holds psi', psi'',
     ... up to the order asked for.  den is the denominator in the
     overflow-free scaling the value uses: off by a positive factor, so its
-    sign is the true denominator's.  singular is formed from the pass's
-    numerator and den when first read: a bisection step never reads it, and
-    on a one-point grid it would cost a fifth of the call.
+    sign is the true denominator's.  The pass computes no singular mask:
+    MobiusExpProfile.is_singular derives it from the closed-form pole.
     """
 
-    def __init__(self, value, derivatives, den, num=None):
+    def __init__(self, value, derivatives, den):
         self.value = value
         self.derivatives = derivatives
         self.den = den
-        # None for a constant profile, which has no singular point
-        self._num = num
-
-    @cached_property
-    def singular(self) -> np.ndarray:
-        """|den| < SINGULAR_TOL * (1 + |num|)."""
-        if self._num is None:
-            return np.zeros(self.den.shape, dtype=bool)
-        return SINGULAR_TOL * (1.0 + np.abs(self._num)) > np.abs(self.den)
 
 
 @dataclass(frozen=True)
@@ -98,11 +88,12 @@ class MobiusExpProfile:
     """(n_u*u + n_1)/(d_u*u + d_1) with u = exp(rate*(xi - xi0)).
 
     kernel() is the one evaluation path: a single exponential per call
-    yields the value, the derivatives up to order 2, the singular mask and
-    the denominator together.  value, first_derivative, second_derivative
-    and is_singular are views of it.  The exponential is always fed its
-    nonpositive argument (the reciprocal form is used on the growing side),
-    so no intermediate can overflow no matter how far out xi is.
+    yields the value, the derivatives up to order 2 and the denominator
+    together.  value, first_derivative and second_derivative are views of
+    it.  The exponential is always fed its nonpositive argument (the
+    reciprocal form is used on the growing side), so no intermediate can
+    overflow no matter how far out xi is.  is_singular needs no kernel
+    pass: it measures the distance to the closed-form pole (pole_xis).
     """
 
     num_u: float
@@ -128,12 +119,12 @@ class MobiusExpProfile:
         return self.num_u / self.den_u
 
     def kernel(self, xi, order: int = 0) -> ProfilePass:
-        """Value, derivatives up to order (0-2), singular mask and denominator at xi.
+        """Value, derivatives up to order (0-2) and denominator at xi.
 
-        One exponential serves all four.  At singular points value and
+        One exponential serves all three.  At the pole value and
         derivatives are whatever the division gives (inf or nan), without
-        warnings.  Constant profiles report their constant, zero
-        derivatives and no singular point.
+        warnings.  Constant profiles report their constant and zero
+        derivatives.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
@@ -163,7 +154,6 @@ class MobiusExpProfile:
             if w == 0.0:
                 value = np.full(den.shape, self._constant_value())
                 derivatives = tuple(np.zeros(den.shape) for _ in range(order))
-                num = None
             else:
                 value = num / den
                 if order >= 1:
@@ -173,9 +163,8 @@ class MobiusExpProfile:
                     derivatives += (e * (self.rate * self.rate * w) * inner / (den2 * den),)
         if x.ndim != 1:
             value, den = value.reshape(x.shape), den.reshape(x.shape)
-            num = None if num is None else num.reshape(x.shape)
             derivatives = tuple(d.reshape(x.shape) for d in derivatives)
-        return ProfilePass(value, derivatives, den, num)
+        return ProfilePass(value, derivatives, den)
 
     def value(self, xi):
         """Profile value; elementwise over arrays, no singularity checks."""
@@ -188,8 +177,23 @@ class MobiusExpProfile:
         return self.kernel(xi, 2).derivatives[1]
 
     def is_singular(self, xi):
-        """Elementwise test |den| < SINGULAR_TOL * (1 + |num|)."""
-        return self.kernel(xi).singular
+        """Elementwise: is xi within SINGULAR_TOL kink widths of the pole?
+
+        The test is |rate*(xi - pole)| <= SINGULAR_TOL at the closed-form
+        pole, so it does not depend on the scale of the coefficients; it
+        is all false for a profile without a pole.  No exponential is
+        evaluated.
+        """
+        x = np.asarray(xi, dtype=float)
+        poles = self.pole_xis()
+        if not poles:
+            return np.zeros(x.shape, dtype=bool)
+        # Comparisons with the interval ends make no float array: on a
+        # large grid a float temporary such as xi - pole costs some 20
+        # times as much.  The interval is closed so that the pole itself
+        # stays flagged when reach is below the float spacing there.
+        reach = SINGULAR_TOL / abs(self.rate)
+        return (x >= poles[0] - reach) & (x <= poles[0] + reach)
 
     def _root_xi(self, c_u: float, c_1: float) -> float | None:
         """The xi where c_u*u + c_1 vanishes for some u > 0, else None."""
@@ -297,19 +301,21 @@ class KinkSolution:
         Raises
         ------
         SingularPoint
-            If any requested point is within SINGULAR_TOL of a pole.
+            If any requested point is within SINGULAR_TOL kink widths of
+            the pole.
         """
         arr = np.asarray(xi, dtype=float)
-        kp = self.profile.kernel(arr)
-        if np.any(kp.singular):
-            offender = _first_offender(arr, kp.singular)
+        bad = self.profile.is_singular(arr)
+        if np.any(bad):
+            offender = _first_offender(arr, bad)
             raise SingularPoint(
                 f"{self.family} profile evaluated at a pole near xi={offender}",
                 xi=offender,
             )
+        value = self.profile.value(arr)
         if arr.ndim == 0:
-            return float(kp.value)
-        return kp.value
+            return float(value)
+        return value
 
     __call__ = evaluate
 
@@ -545,21 +551,9 @@ def _raise_where(bad, xi, what: str):
 def _riccati_profile(c1: float, c2: float, p: float, q: float, xi0: float) -> MobiusExpProfile:
     """The solution of y' = c1*y^2 + c2*y (c2 != 0) through y(xi0) = p/q.
 
-    With u = exp(c2*(xi - xi0)) it is c2*p*u / (c1*p*(1 - u) + c2*q).  At
-    the pole, in the kernel's overflow-free scaling, both terms of the
-    denominator have the size of the smaller of -c1*p and c1*p + c2*q.
-    The singular mask compares the denominator with 1 + |numerator|, so
-    the coefficients are scaled by a power of two, which changes no value,
-    to bring that size to [1, 2) unless one would overflow: the mask then
-    flags the same distance from the pole whatever the scale of p and q.
+    With u = exp(c2*(xi - xi0)) it is c2*p*u / (c1*p*(1 - u) + c2*q).
     """
-    coeffs = (c2 * p, -c1 * p, c1 * p + c2 * q)
-    smaller = min(abs(coeffs[1]), abs(coeffs[2]))
-    if smaller > 0.0:
-        k = min(1 - math.frexp(smaller)[1], 1023 - math.frexp(max(map(abs, coeffs)))[1])
-        coeffs = [math.ldexp(c, k) for c in coeffs]
-    num_u, den_u, den_1 = coeffs
-    return MobiusExpProfile(num_u, 0.0, den_u, den_1, c2, xi0)
+    return MobiusExpProfile(c2 * p, 0.0, -c1 * p, c1 * p + c2 * q, c2, xi0)
 
 
 def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi):
@@ -598,16 +592,17 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
         z = x - xi0
         with np.errstate(invalid="ignore", over="ignore"):
             den = lam - c1 * g * z
+            # <=, not <: at lam = 0 both terms vanish at the pole xi0
             _raise_where(
-                np.abs(den) < SINGULAR_TOL * (1.0 + abs(lam) + np.abs(c1 * g * z)),
+                np.abs(den) <= SINGULAR_TOL * (abs(lam) + np.abs(c1 * g * z)),
                 x,
                 "lambda denominator vanishes",
             )
             vals = g / den
     else:
-        kp = _riccati_profile(c1, c2, g, lam, xi0).kernel(x)
-        _raise_where(kp.singular, x, "lambda denominator vanishes")
-        vals = kp.value
+        profile = _riccati_profile(c1, c2, g, lam, xi0)
+        _raise_where(profile.is_singular(x), x, "lambda denominator vanishes")
+        vals = profile.value(x)
     if x.ndim == 0:
         return float(vals)
     return vals

@@ -83,8 +83,6 @@ class DrivenSetup:
     """Derived quantities of the shifted (driven) cubic for one epsilon.
 
     r_plus >= r_minus always; both can be negative when epsilon < 0.
-    alpha1 and alpha2 are the corresponding kink rates r_pm/sqrt(2) (they
-    inherit the sign of r_pm).
     """
 
     a1: float
@@ -94,14 +92,6 @@ class DrivenSetup:
     delta_eps: float
     r_plus: float
     r_minus: float
-
-    @property
-    def alpha1(self) -> float:
-        return self.r_plus / SQRT2
-
-    @property
-    def alpha2(self) -> float:
-        return self.r_minus / SQRT2
 
     def rate(self, case: str) -> float:
         """r_plus for case 'I', r_minus for case 'II'.
@@ -118,8 +108,15 @@ class DrivenSetup:
         return r
 
     def rho(self, case: str, sign) -> float:
-        """Forced friction: rho_case1 for case 'I', rho_case2 for case 'II'."""
-        return rho_case1(self, sign) if _as_case(case) == "I" else rho_case2(self, sign)
+        """Friction forced by the driven factorization of one case and front sign.
+
+        Case 'I': sign*(r_minus - sqrt(delta))/sqrt(2); case 'II':
+        sign*(r_plus + sqrt(delta))/sqrt(2).
+        """
+        s = _as_sign(sign)
+        if _as_case(case) == "I":
+            return s * (self.r_minus - math.sqrt(self.delta_eps)) / SQRT2
+        return s * (self.r_plus + math.sqrt(self.delta_eps)) / SQRT2
 
 
 def _as_case(case: str) -> str:
@@ -175,18 +172,6 @@ def driven_setup(a1: float, b1: float, epsilon: float) -> DrivenSetup:
         r_plus=r_plus,
         r_minus=r_minus,
     )
-
-
-def rho_case1(setup: DrivenSetup, front_sign) -> float:
-    """Friction forced by the first driven factorization: sign*(r_minus - sqrt(delta))/sqrt(2)."""
-    s = _as_sign(front_sign)
-    return s * (setup.r_minus - math.sqrt(setup.delta_eps)) / SQRT2
-
-
-def rho_case2(setup: DrivenSetup, front_sign) -> float:
-    """Friction forced by the second driven factorization: sign*(r_plus + sqrt(delta))/sqrt(2)."""
-    s = _as_sign(front_sign)
-    return s * (setup.r_plus + math.sqrt(setup.delta_eps)) / SQRT2
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ the traveling-wave equation
 
     psi'' + rho*psi' - b1*psi^3 + a1*psi + drive = 0
 
-using either the exact Moebius derivatives, taken with the value and the
-singular mask from one kernel pass of the profile, or centered finite
-differences.
+using either the exact Moebius derivatives, taken with the value from one
+kernel pass of the profile, or centered finite differences; points within
+SINGULAR_TOL kink widths of the pole are skipped.
 integrate_second_order() solves the same equation as an initial value
 problem with classical fixed-step RK4 so a profile can be compared against
 an integration that never saw the closed form; integrate_riccati() does the
@@ -95,8 +95,8 @@ def residual(
     is a (lo, hi, n) triple, an array of points, or None for the default
     pole-aware grid.  mode "analytic" uses exact derivatives, "fd" centered
     differences with step 1e-4 (noise floor near 5e-7).  One kernel pass
-    over the whole grid gives the value, the exact derivatives and the
-    singular mask; points on the mask are then dropped and counted in
+    over the whole grid gives the value and the exact derivatives; points
+    the profile's is_singular flags are then dropped and counted in
     skipped.
     """
     if mode not in ("analytic", "fd"):
@@ -107,11 +107,12 @@ def residual(
     if xi.size == 0:
         raise EmptyGrid("no grid points supplied")
     p = solution.profile
-    kp = p.kernel(xi, 2 if mode == "analytic" else 0)
-    psi, derivatives, sing = kp.value, kp.derivatives, kp.singular
+    sing = p.is_singular(xi)
     skipped = int(np.count_nonzero(sing))
     if skipped == xi.size:
         raise EmptyGrid("every grid point sits on a pole")
+    kp = p.kernel(xi, 2 if mode == "analytic" else 0)
+    psi, derivatives = kp.value, kp.derivatives
     xi_ok = xi
     if skipped:
         keep = ~sing
@@ -236,11 +237,10 @@ def _blew_up(xs, ys, ds, i, h):
 def compare(traj: Trajectory, solution: KinkSolution) -> float:
     """Sup-norm distance between a trajectory and a closed-form profile."""
     xi = traj.xi_values
-    kp = solution.profile.kernel(xi)
-    bad = kp.singular
+    bad = solution.profile.is_singular(xi)
     if np.any(bad):
         offender = float(xi[np.argmax(bad)])
         raise DomainMismatch(
             f"trajectory crosses a pole of {solution.family} near xi={offender}"
         )
-    return float(np.max(np.abs(traj.psi_values - kp.value)))
+    return float(np.max(np.abs(traj.psi_values - solution.profile.value(xi))))

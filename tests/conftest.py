@@ -1,14 +1,22 @@
-"""Shared test helpers: the full family roster and the RK4 comparison recipe."""
+"""Shared test helpers: the family roster, the RK4 comparison recipe, a float strategy."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from glkinks.analysis import switching_midpoint
 from glkinks.errors import NoCrossing
 from glkinks.kinks import KinkSolution, catalogue
 from glkinks.model import ModelParams
 from glkinks.verify import compare, integrate_second_order
+
+
+def log_uniform(lo, hi):
+    """Floats of either sign whose magnitude is 10**t, t uniform in [lo, hi]."""
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,9 @@ ROSTER = [
      "bytes", 0),
     ("eval-undriven-3-pole-last", ["eval", *_UNIT, "--index", "3", "--grid=-10:0:101"],
      "bytes", 0),
+    # |psi| reaches 1e13 on a smooth kink: no row may be flagged singular
+    ("eval-undriven-1-a1-1e26", ["eval", "--a1", "1e26", "--b1", "1", "--index", "1",
+                                 "--grid=-1:1:3"], "bytes", 0),
     _eval("undriven-4", *_FIG34, "--index", "4", "--xi0", "1.5"),
     _eval("driven-I+", *_FIG13, "--epsilon", "2.2772", "--case", "I", "--branch", "+"),
     _eval("driven-I-", *_FIG13, "--epsilon", "1.0351", "--case", "I", "--branch", "-"),

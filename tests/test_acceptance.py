@@ -27,8 +27,6 @@ from glkinks.kinks import (
 from glkinks.model import (
     ModelParams,
     driven_setup,
-    rho_case1,
-    rho_case2,
     undriven_rho,
 )
 from glkinks.verify import integrate_riccati, residual, verification_grid
@@ -40,8 +38,7 @@ _RHO_TOL = {1: 1e-4, 2: 1e-4, 3: 1e-3, 4: 1e-3}
 
 def _recomputed_rho(spec):
     setup = driven_setup(spec.a1, spec.b1, spec.epsilon)
-    sign = 1 if spec.branch == "+" else -1
-    return rho_case1(setup, sign) if spec.case == "I" else rho_case2(setup, sign)
+    return setup.rho(spec.case, spec.branch)
 
 
 def test_criterion_1_friction_reproduction():
@@ -160,7 +157,7 @@ def test_criterion_6_reductions():
     for a1, b1 in ((1.0, 1.0), (3.0, 0.7), (0.7, 3.0)):
         setup = driven_setup(a1, b1, 0.0)
         target = undriven_rho(a1)
-        for rho in (rho_case1(setup, 1), rho_case2(setup, 1)):
+        for rho in (setup.rho("I", 1), setup.rho("II", 1)):
             diff = abs(abs(rho) - target)
             assert diff < 1e-12 * (1.0 + target)
             worst_rho = max(worst_rho, diff)

@@ -22,6 +22,8 @@ from glkinks.factorization import compatible_riccati, factor_driven, factor_undr
 from glkinks.kinks import catalogue, general_riccati
 from glkinks.verify import verification_grid
 
+from conftest import log_uniform
+
 _SPEC = importlib.util.spec_from_file_location(
     "reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 )
@@ -56,12 +58,6 @@ def _rel_error(args, ref, x) -> float:
     return float(abs((mp.mpf(general_riccati(*args, x)) - want) / want))
 
 
-def _log_uniform(lo, hi):
-    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(
-        lambda t: t[0] * 10.0 ** t[1]
-    )
-
-
 # ------------------------------------------------------------- input checks
 
 
@@ -82,6 +78,11 @@ def test_zero_lambda_has_its_pole_at_center(c2):
     assert err.value.xi == 0.3
     vals = general_riccati(-1.0, c2, 0.5, 0.0, 0.3, np.array([-1.0, 1.0]))
     assert np.all(np.isfinite(vals))
+
+
+def test_tiny_rational_solution_is_not_singular():
+    # c2 == 0: y = 1/(1e-20 - 1e-20*xi), pole at xi = 1, half a unit away
+    assert general_riccati(1e-20, 0.0, 0.0, 1e-20, 0.0, 0.5) == 2e20
 
 
 # -------------------------------------------------- fixed points and poles
@@ -171,16 +172,16 @@ def _amplification(c1, c2, y1, lam=None) -> float:
 
 @settings(deadline=None, max_examples=300)
 @given(
-    c1=_log_uniform(-2.0, 2.0),
-    c2=_log_uniform(-2.0, 2.0),
-    y1=_log_uniform(-3.0, 3.0),
-    lam=_log_uniform(-3.0, 3.0),
+    c1=log_uniform(-2.0, 2.0),
+    c2=log_uniform(-2.0, 2.0),
+    y1=log_uniform(-3.0, 3.0),
+    lam=log_uniform(-3.0, 3.0),
     xi0=st.floats(-5.0, 5.0),
     far=st.floats(-8.0, 8.0),
-    near=_log_uniform(-6.0, 0.0),
+    near=log_uniform(-6.0, 0.0),
 )
-# y0 = -2.7e-7: unless the profile's coefficients are rescaled, the
-# singular mask flags this point 3.2e-6 widths from the pole
+# y0 = -2.7e-7: a mask that compares the denominator with 1 + |numerator|
+# would flag this point 3.2e-6 widths from the pole
 @example(
     c1=-1.0, c2=1.0, y1=1.0, lam=-0.9999997255105045, xi0=0.0, far=0.0, near=-3.162277660168379e-06
 )
@@ -223,9 +224,9 @@ def test_matches_reference(c1, c2, y1, lam, xi0, far, near):
 
 @settings(deadline=None, max_examples=100)
 @given(
-    c1=_log_uniform(-2.0, 2.0),
-    y1=_log_uniform(-3.0, 3.0),
-    lam=_log_uniform(-3.0, 3.0),
+    c1=log_uniform(-2.0, 2.0),
+    y1=log_uniform(-3.0, 3.0),
+    lam=log_uniform(-3.0, 3.0),
     xi0=st.floats(-5.0, 5.0),
     z=st.floats(-10.0, 10.0),
 )

@@ -28,6 +28,8 @@ from glkinks.kinks import (
 from glkinks.model import SQRT2, ModelParams, driven_setup, undriven_rho
 from glkinks.verify import integrate_riccati, residual
 
+from conftest import log_uniform
+
 _ROOTS = (0.0, 1.0, -1.0)
 
 
@@ -99,6 +101,52 @@ def test_pole_location_and_flags():
     assert no_pole.pole_xis() == ()
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        MobiusExpProfile(0.0, 1.0, 1.0, -math.e, 2.0, 3.0),
+        MobiusExpProfile(0.0, 1e-20, 1e-20, -math.e * 1e-20, 2.0, 3.0),
+        undriven_solution(ModelParams(1e26, 1.0), 3).profile,
+        undriven_solution(ModelParams(1e-6, 1e6), 4).profile,
+    ],
+    ids=["unit", "tiny-coefficients", "a1=1e26", "a1=1e-6"],
+)
+def test_singular_within_tol_widths_of_pole(profile):
+    (pole,) = profile.pole_xis()
+    width = 1.0 / abs(profile.rate)
+    for side in (-1.0, 1.0):
+        assert bool(profile.is_singular(pole + side * 0.5 * SINGULAR_TOL * width))
+        assert not bool(profile.is_singular(pole + side * 2.0 * SINGULAR_TOL * width))
+
+
+def test_pole_stays_singular_below_its_rounding():
+    # 1e-12 widths is 1e-18 here, far below the float spacing near xi = 10
+    p = MobiusExpProfile(0.0, 1.0, 1.0, -1.0, 1e6, 10.0)
+    assert p.pole_xis() == (10.0,)
+    assert bool(p.is_singular(10.0))
+    assert not np.any(p.is_singular(np.nextafter(10.0, [0.0, 20.0])))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    num_u=st.one_of(st.just(0.0), log_uniform(-3.0, 3.0)),
+    num_1=st.one_of(st.just(0.0), log_uniform(-3.0, 3.0)),
+    den_u=st.one_of(st.just(0.0), log_uniform(-3.0, 3.0)),
+    den_1=log_uniform(-3.0, 3.0),
+    rate=log_uniform(-3.0, 3.0),
+    xi0=st.floats(-5.0, 5.0),
+    k=st.integers(-60, 60),
+)
+def test_singular_mask_ignores_power_of_two_scaling(num_u, num_1, den_u, den_1, rate, xi0, k):
+    p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
+    scaled = MobiusExpProfile(*(math.ldexp(c, k) for c in (num_u, num_1, den_u, den_1)), rate, xi0)
+    poles = p.pole_xis()
+    centre = poles[0] if poles else xi0
+    widths = np.array([0.0, 0.5, 2.0, 1e3, 1e12, 5e12]) * SINGULAR_TOL
+    xi = centre + np.concatenate([-widths, widths]) / abs(rate)
+    np.testing.assert_array_equal(scaled.is_singular(xi), p.is_singular(xi))
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     num_u=st.floats(-3.0, 3.0),
@@ -125,9 +173,8 @@ def test_first_derivative_matches_finite_difference(
     np.testing.assert_array_equal(one_pass.value, vals)
     np.testing.assert_array_equal(one_pass.derivatives[0], d1)
     np.testing.assert_array_equal(one_pass.derivatives[1], p.second_derivative(pts))
-    np.testing.assert_array_equal(one_pass.singular, p.is_singular(pts))
     if constant:
-        assert np.all(vals == 2.0) and not np.any(one_pass.singular)
+        assert np.all(vals == 2.0) and not np.any(p.is_singular(pts))
         assert np.all(one_pass.derivatives[0] == 0.0) and np.all(one_pass.derivatives[1] == 0.0)
     assume(np.all(np.isfinite(vals)) and np.max(np.abs(vals)) < 1e2)
     fd = (vals[2] - vals[0]) / (2.0 * h)
@@ -158,6 +205,8 @@ def test_basic_kink_values_and_limits():
     assert s1.singularities == ()
     assert s3.singularities == (0.0,)
     assert s4.singularities == (0.0,)
+    big = undriven_solution(ModelParams(1e26, 1.0), 1)
+    assert big.evaluate(np.array([-1.0, 0.0, 1.0])).tolist() == [1e13, 5e12, 0.0]
 
 
 def test_basic_kink_forced_rho_signs():
@@ -483,7 +532,7 @@ _PUBLIC_NAMES = {
     "factor_driven", "factor_undriven", "general_riccati", "integrate_riccati",
     "integrate_second_order", "lambda_driven_solution", "lambda_forbidden_interval",
     "lambda_zero_field_solution", "map_condon_params", "montroll_roots", "montroll_solution",
-    "residual", "rho_case1", "rho_case2", "singularity_scan", "switching_midpoint",
+    "residual", "singularity_scan", "switching_midpoint",
     "undriven_rho", "undriven_solution", "validate_params", "verification_grid",
 }
 

@@ -19,8 +19,6 @@ from glkinks.model import (
     epsilon_admissible_interval,
     epsilon_from_field,
     map_condon_params,
-    rho_case1,
-    rho_case2,
     undriven_rho,
     validate_params,
 )
@@ -74,19 +72,14 @@ def test_driven_setup_reference_roots(fig_id):
     spec = FIGURES[fig_id]
     expected_drive = spec.a1 * spec.epsilon - spec.b1 * spec.epsilon**3
     assert setup.eta_times_gamma1 == pytest.approx(expected_drive, rel=1e-15)
-    assert setup.alpha1 == pytest.approx(setup.r_plus / SQRT2, rel=1e-15)
-    assert setup.alpha2 == pytest.approx(setup.r_minus / SQRT2, rel=1e-15)
 
 
 @pytest.mark.parametrize("fig_id", sorted(_REFERENCE_RHO))
 def test_forced_rho_reference_values(fig_id):
     case, sign, rho, _, _ = _REFERENCE_RHO[fig_id]
     setup = _setup_for(fig_id)
-    fn = rho_case1 if case == "I" else rho_case2
-    assert fn(setup, sign) == pytest.approx(rho, rel=1e-13)
-    assert fn(setup, -sign) == pytest.approx(-rho, rel=1e-13)
-    for s in (sign, -sign):
-        assert setup.rho(case, s) == fn(setup, s)
+    assert setup.rho(case, sign) == pytest.approx(rho, rel=1e-13)
+    assert setup.rho(case, -sign) == pytest.approx(-rho, rel=1e-13)
 
 
 def test_epsilon_sign_flip_mirrors_roots():
@@ -128,10 +121,10 @@ def test_driven_setup_boundary_epsilon_clamps_to_zero():
 
 def test_sign_argument_forms():
     setup = _setup_for(1)
-    assert rho_case1(setup, "+") == rho_case1(setup, 1)
-    assert rho_case1(setup, "-") == rho_case1(setup, -1)
+    assert setup.rho("I", "+") == setup.rho("I", 1)
+    assert setup.rho("I", "-") == setup.rho("I", -1)
     with pytest.raises(ValueError):
-        rho_case1(setup, 0)
+        setup.rho("I", 0)
 
 
 @settings(deadline=None)
