@@ -44,8 +44,8 @@ class LambdaDomain:
     """Forbidden lambda window of one driven family.
 
     bound_value is the signed endpoint sign(branch)*sqrt(b1)/(2r); the
-    window always has 0 as its open end and the bound as its closed end,
-    on whichever side of 0 the bound falls.
+    window is open at both ends, 0 and the bound, on whichever side of 0
+    the bound falls.
     """
 
     family: str
@@ -56,19 +56,19 @@ class LambdaDomain:
 def lambda_forbidden_interval(setup: DrivenSetup, case: str, branch) -> LambdaDomain:
     """Closed-form forbidden lambda window for one case and branch.
 
-    Lambda values strictly between 0 and the bound (bound included) put a
-    pole on the real axis; everything else, lambda = 0 excluded, gives a
-    smooth kink.  Raises NonPositiveRate if the case's root vanishes, since
-    then the family itself degenerates.
+    Lambda values strictly between 0 and the bound put a pole on the real
+    axis; everything else gives a smooth kink, except the two ends
+    themselves, where the profile is a constant and the constructor
+    refuses lambda.  Raises NonPositiveRate if the case's root vanishes,
+    since then the family itself degenerates.
     """
     c = _as_case(case)
     s = _as_sign(branch)
     r = setup.rate(c)
     bound = s * math.sqrt(setup.b1) / (2.0 * r)
-    if bound > 0.0:
-        forbidden = AdmissibleRange(0.0, bound, lower_open=True, upper_open=False)
-    else:
-        forbidden = AdmissibleRange(bound, 0.0, lower_open=False, upper_open=True)
+    forbidden = AdmissibleRange(
+        min(0.0, bound), max(0.0, bound), lower_open=True, upper_open=True
+    )
     tag = "+" if s > 0 else "-"
     return LambdaDomain(family=f"lambda-{c}{tag}", forbidden=forbidden, bound_value=bound)
 

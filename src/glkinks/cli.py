@@ -16,7 +16,9 @@ delay      emit the midpoint-versus-lambda delay curve as CSV
 
 A subcommand rejects every other flag (exit 2).  ``delay --fig N`` takes
 its coefficients from the figure, so it accepts only --lambda and --out
-besides.
+besides.  ``verify --perturb-rho X`` is a test hook that runs every check
+at the forced rho scaled by 1 + X, so the suite must fail at any scale of
+the coefficients.
 
 All output is deterministic: numbers use 17 significant digits, lines end
 with a single newline, and nothing depends on time, environment or
@@ -133,7 +135,7 @@ _FLAGS = {
     "--perturb-rho": dict(
         type=_finite_float,
         default=0.0,
-        help="test hook: offset added to every forced rho (makes the suite fail)",
+        help="test hook: scale every forced rho by 1 + X (makes the suite fail)",
     ),
 }
 
@@ -308,7 +310,9 @@ def cmd_families(args: argparse.Namespace) -> int:
         )
     for branch in ("+", "-"):
         for variant in ("first", "second"):
-            sol = lambda_zero_field_solution(params, branch, variant, 10.0)
+            # rho and width do not depend on lambda; lambda*sqrt(a1) = 1
+            # would be the constant profile the constructor refuses
+            sol = lambda_zero_field_solution(params, branch, variant, 10.0 / math.sqrt(args.a1))
             lines.append(
                 f"lambda-zero-field-{variant}{branch}  rho={_fmt(sol.forced_rho)}  "
                 f"width={_fmt(1.0 / sol.width_inverse)}  pole set depends on lambda"
@@ -401,7 +405,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = []
     failures = 0
     for label, sol in jobs:
-        rho = sol.forced_rho + args.perturb_rho
+        rho = sol.forced_rho * (1.0 + args.perturb_rho)
         report = residual(sol, rho=rho, mode="analytic")
         ok = report.max_abs_residual < 1e-10
         failures += 0 if ok else 1
@@ -416,7 +420,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     w = 1.0 / oracle.width_inverse
     span = (oracle.xi0 - 10.0 * w, oracle.xi0 + 10.0 * w)
     params = ModelParams(
-        oracle.params.a1, oracle.params.b1, oracle.forced_rho + args.perturb_rho
+        oracle.params.a1, oracle.params.b1, oracle.forced_rho * (1.0 + args.perturb_rho)
     )
     traj = integrate_second_order(
         params,

@@ -57,6 +57,11 @@ from .model import (
 # (1/|rate|) of the profile's pole.
 SINGULAR_TOL = 1e-12
 
+# Points per kernel pass: 128 kB per float array.  At least the 10,001
+# points of a pole scan (analysis._SCAN_POINTS), so that a scan stays one
+# pass.
+_BLOCK = 16_384
+
 # Friction sign attached to each basic double-well kink index, recovered
 # empirically from residuals (the closed forms do not advertise it); the
 # recovery is rerun by tests/test_kinks.py.
@@ -124,17 +129,39 @@ class MobiusExpProfile:
         One exponential serves all three.  At the pole value and
         derivatives are whatever the division gives (inf or nan), without
         warnings.  Constant profiles report their constant and zero
-        derivatives.
+        derivatives.  Points are evaluated _BLOCK at a time and the pieces
+        joined, which gives the same values as one pass.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
         x = np.asarray(xi, dtype=float)
-        z = (x.reshape(-1) - self.xi0) * self.rate
+        flat = x.reshape(-1)
+        if flat.size <= _BLOCK:
+            kp = self._pass(flat, order)
+        else:
+            parts = [self._pass(flat[i : i + _BLOCK], order) for i in range(0, flat.size, _BLOCK)]
+            kp = ProfilePass(
+                np.concatenate([p.value for p in parts]),
+                tuple(np.concatenate([p.derivatives[j] for p in parts]) for j in range(order)),
+                np.concatenate([p.den for p in parts]),
+            )
+        if x.ndim != 1:
+            kp = ProfilePass(
+                kp.value.reshape(x.shape),
+                tuple(d.reshape(x.shape) for d in kp.derivatives),
+                kp.den.reshape(x.shape),
+            )
+        return kp
+
+    def _pass(self, x, order: int) -> ProfilePass:
+        """kernel() on one 1-D block of at most _BLOCK points."""
+        z = (x - self.xi0) * self.rate
         grow = z > 0.0
-        # Arrays are dropped as soon as they are dead: on a large grid each
-        # full-size array alive at the peak costs fresh pages.  Nothing is
-        # updated in place, which on a one-point grid costs more than a new
-        # array.
+        # A block's temporaries, 128 kB each, are reused from the heap and
+        # stay in cache; whole-grid ones would go back to the operating
+        # system after each call and be faulted in again on the next, about
+        # half the time of a 1e5-point residual.  Nothing is updated in
+        # place, which on a one-point grid costs more than a new array.
         with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
             e = np.exp(np.copysign(z, -1.0))
             del z
@@ -161,9 +188,6 @@ class MobiusExpProfile:
                     derivatives = (e * (self.rate * w) / den2,)
                 if order == 2:
                     derivatives += (e * (self.rate * self.rate * w) * inner / (den2 * den),)
-        if x.ndim != 1:
-            value, den = value.reshape(x.shape), den.reshape(x.shape)
-            derivatives = tuple(d.reshape(x.shape) for d in derivatives)
         return ProfilePass(value, derivatives, den)
 
     def value(self, xi):
@@ -395,10 +419,21 @@ def driven_solution(setup: DrivenSetup, case: str, sign, xi0: float = 0.0) -> Ki
     )
 
 
-def _check_lambda(lam: float):
-    # lambda = 0 collapses the family to a constant, not a kink
+def _check_lambda(lam: float, bound: float):
+    # lambda = 0 and lambda = bound, the two ends of the family's forbidden
+    # window, collapse the family to a constant, not a kink
     if not math.isfinite(lam) or lam == 0.0:
         raise ValueError(f"lambda must be finite and nonzero, got {lam!r}")
+    if lam == bound:
+        raise ValueError(f"lambda = {lam!r} is the window bound: the profile is a constant")
+
+
+def _lambda_profile(lam: float, *coefficients) -> MobiusExpProfile:
+    profile = MobiusExpProfile(*coefficients)
+    # rounding can collapse the profile a float or two away from the bound
+    if profile._is_constant():
+        raise ValueError(f"lambda = {lam!r} collapses the profile to a constant")
+    return profile
 
 
 def lambda_zero_field_solution(
@@ -411,16 +446,17 @@ def lambda_zero_field_solution(
     "first" selects the families that approach the poled kinks as
     lambda -> inf, "second" the ones approaching the smooth kinks.  After
     clearing the shared factor between the two denominators the profile is
-    again a single Moebius-exponential form.  Raises ValueError for a zero
-    or non-finite lambda.
+    again a single Moebius-exponential form.  The profile is a constant at
+    lambda = 0 and at lambda*sqrt(a1) = -1 (branch "+") or +1 (branch
+    "-"); ValueError is raised there and for a non-finite lambda.
     """
     validate_params(params)
-    _check_lambda(lam)
     if variant not in VARIANT_SIGNS:
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
     bsign = _as_sign(branch)
     m = VARIANT_SIGNS[variant]
     sa = math.sqrt(params.a1)
+    _check_lambda(lam, -bsign / sa)
     sb = math.sqrt(params.b1)
     alpha = sa / SQRT2
     g = lam * sa
@@ -433,7 +469,7 @@ def lambda_zero_field_solution(
         num = (0.0, lam * params.a1)
         den = (g - 1.0, m * sb * g)
     rho = undriven_rho(params.a1, bsign)
-    profile = MobiusExpProfile(num[0], num[1], den[0], den[1], rate, xi0)
+    profile = _lambda_profile(lam, num[0], num[1], den[0], den[1], rate, xi0)
     tag = "+" if bsign > 0 else "-"
     return KinkSolution(
         f"lambda-zero-field-{variant}{tag}",
@@ -452,14 +488,15 @@ def lambda_driven_solution(
     The profile has one real pole exactly when lambda falls in the
     family's forbidden window (between 0 and the signed bound
     sign(branch)*sqrt(b1)/(2r)); outside it the kink is smooth and
-    approaches the particular constant-drive kink as lambda -> inf.
-    Raises ValueError for a zero or non-finite lambda.
+    approaches the particular constant-drive kink as lambda -> inf.  At
+    either end of the window, lambda = 0 or the bound, the profile is a
+    constant; ValueError is raised there and for a non-finite lambda.
     """
-    _check_lambda(lam)
     c = _as_case(case)
     s = _as_sign(branch)
     r = setup.rate(c)
     sb = math.sqrt(setup.b1)
+    _check_lambda(lam, s * sb / (2.0 * r))
     eps = setup.epsilon
     alpha_r = r / SQRT2
     if s > 0:
@@ -471,8 +508,8 @@ def lambda_driven_solution(
         num = (r * (2.0 * lam * r + sb) / sb, 0.0)
         den = (2.0 * lam * r + sb, lam * r)
     rho = setup.rho(c, s)
-    profile = MobiusExpProfile(
-        num[0] - eps * den[0], num[1] - eps * den[1], den[0], den[1], rate, xi0
+    profile = _lambda_profile(
+        lam, num[0] - eps * den[0], num[1] - eps * den[1], den[0], den[1], rate, xi0
     )
     tag = "+" if s > 0 else "-"
     return KinkSolution(
@@ -493,9 +530,10 @@ def catalogue(
     """Every closed-form profile the package constructs, labelled, in a fixed order.
 
     The two-root kink montroll(0,1) of the unit cubic; the four basic kinks
-    and the zero-field lambda kinks (lambda in 1, 10, 100) at coefficients
-    a1, b1; then, per reference figure set, its constant-drive kink and its
-    lambda kinks at the figure's lambdas.  family keeps one of "montroll",
+    and the zero-field lambda kinks (lambda*sqrt(a1) in 2, 10, 100, clear
+    of the constant profile at 1) at coefficients a1, b1; then, per
+    reference figure set, its constant-drive kink and its lambda kinks at
+    the figure's lambdas.  family keeps one of "montroll",
     "undriven", "lambda-zero-field", "driven" or "lambda-driven"; any other
     value raises ValueError.
     """
@@ -513,15 +551,12 @@ def catalogue(
         for index in (1, 2, 3, 4):
             jobs.append((f"undriven-{index}", undriven_solution(params, index)))
     if wanted("lambda-zero-field"):
+        sa = math.sqrt(validate_params(params).a1)
         for branch in ("+", "-"):
             for variant in ("first", "second"):
-                for lam in (1.0, 10.0, 100.0):
-                    jobs.append(
-                        (
-                            f"lambda-zero-field-{variant}{branch} lam={lam:g}",
-                            lambda_zero_field_solution(params, branch, variant, lam),
-                        )
-                    )
+                for k in (2.0, 10.0, 100.0):
+                    sol = lambda_zero_field_solution(params, branch, variant, k / sa)
+                    jobs.append((f"lambda-zero-field-{variant}{branch} lam={k:g}/sqrt(a1)", sol))
     if wanted("driven") or wanted("lambda-driven"):
         for spec in FIGURES.values():
             setup = driven_setup(spec.a1, spec.b1, spec.epsilon)

@@ -79,17 +79,17 @@ def test_forbidden_interval_reference_bounds(fig_id):
     assert domain.family == f"lambda-{spec.case}{spec.branch}"
     forbidden = domain.forbidden
     bound = domain.bound_value
-    assert forbidden.contains(bound)
+    # open at both ends: at 0 and at the bound the profile is a constant,
+    # which the constructors refuse
+    assert not forbidden.contains(bound)
     assert not forbidden.contains(0.0)
     assert forbidden.contains(bound * 0.5)
     assert not forbidden.contains(bound * 1.01)
     assert not forbidden.contains(-bound)
-    if bound > 0.0:
-        assert forbidden.lower == 0.0 and forbidden.lower_open
-        assert forbidden.upper == bound and not forbidden.upper_open
-    else:
-        assert forbidden.lower == bound and not forbidden.lower_open
-        assert forbidden.upper == 0.0 and forbidden.upper_open
+    assert (forbidden.lower, forbidden.upper) == (min(0.0, bound), max(0.0, bound))
+    assert forbidden.lower_open and forbidden.upper_open
+    with pytest.raises(ValueError, match="window bound"):
+        lambda_driven_solution(setup, spec.case, spec.branch, bound)
 
 
 def test_forbidden_interval_degenerate_root():
@@ -130,10 +130,15 @@ def test_switching_midpoint_basic_kink():
     assert xi_mid == pytest.approx(0.0, abs=1e-9)
 
 
+def _constant_kink():
+    # the constructors refuse a lambda that makes the profile a constant
+    profile = MobiusExpProfile(-2.0, -2.0, 1.0, 1.0, 1.0, 0.0)
+    return KinkSolution("constant", ModelParams(1.0, 1.0), None, None, profile)
+
+
 def test_switching_midpoint_no_crossing_cases():
-    constant = lambda_zero_field_solution(ModelParams(4.0, 1.0), "-", "first", 0.5)
     with pytest.raises(NoCrossing):
-        switching_midpoint(constant)
+        switching_midpoint(_constant_kink())
     poled = undriven_solution(ModelParams(1.0, 1.0), 3)
     # the midpoint level lies between the branches, never on the profile
     with pytest.raises(NoCrossing):
@@ -289,7 +294,7 @@ def test_switching_midpoint_matches_scan_oracle_on_edge_cases():
     for sol in (
         undriven_solution(params, 1),
         undriven_solution(params, 3),  # pole: no crossing
-        lambda_zero_field_solution(ModelParams(4.0, 1.0), "-", "first", 0.5),  # constant
+        _constant_kink(),
         lambda_zero_field_solution(params, "+", "first", 1.0),
         # (u - c)/(u + c) crosses 0 at xi = log(c): 39 widths out, then 41
         _shifted_kink(39.0),

@@ -129,7 +129,7 @@ def test_families_with_epsilon_reports_admissibility(capsys):
     assert rc == 0
     assert "driven-I+" in out and "admissible" in out
     assert "rho <= 0" in out
-    assert "forbidden lambda (0, 0.12359503110847067]" in out
+    assert "forbidden lambda (0, 0.12359503110847067)" in out
 
 
 def test_families_requires_coefficients(capsys):
@@ -435,7 +435,8 @@ def test_verify_perturbed_rho_fails(capsys):
     rc, out, _ = _run(capsys, "verify", "--perturb-rho", "0.001")
     assert rc == 1
     assert "FAIL" in out
-    assert "2/38 checks passed" in out  # only the constant members survive
+    # every check fails: the catalogue holds no constant profile any more
+    assert "0/38 checks passed" in out
 
 
 def test_verify_scoped_family(capsys):
@@ -456,10 +457,14 @@ def test_verify_rk4_passes_at_extreme_scales(capsys, a1, b1):
     assert _rk4_line(out).startswith("PASS  ")
 
 
-@pytest.mark.parametrize("scale", [[], ["--a1", "1e-6", "--b1", "1e6"]], ids=["unit", "narrow"])
+@pytest.mark.parametrize(
+    "scale",
+    [[], ["--a1", "1e-6", "--b1", "1e6"], ["--a1", "1e6", "--b1", "1e-6"]],
+    ids=["unit", "narrow", "wide"],
+)
 def test_verify_rk4_fails_with_perturbed_rho(capsys, scale):
-    # at --a1 1e6 the forced rho is about 2121, and an offset of 0.001 moves
-    # the profile by less than the 1e-6 relative gate
+    # the perturbation is relative, rho*(1 + X): at --a1 1e6 the forced rho
+    # is about 2121, where an absolute offset of 0.001 passed the RK4 gate
     rc, out, _ = _run(capsys, "verify", *scale, "--family", "undriven", "--perturb-rho", "0.001")
     assert rc == 1
     assert _rk4_line(out).startswith("FAIL  ")
@@ -569,6 +574,28 @@ def test_zero_lambda_is_usage_error(capsys, argv):
     assert rc == 2
     assert out == ""
     assert "lambda must be finite and nonzero" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # figure 1's family at its window bound once printed 1.7682700768769988
+        # on every row
+        ["eval", "--a1", "3", "--b1", "0.7", "--epsilon", "2.2772", "--case", "I",
+         "--branch", "+", "--lambda", "0.12359503110847067", "--grid", "0:1:3"],
+        ["eval", "--a1", "4", "--b1", "1", "--branch", "-", "--variant", "second",
+         "--lambda", "0.5", "--grid", "0:1:3"],
+        ["eval", "--a1", "4", "--b1", "1", "--branch", "+", "--variant", "first",
+         "--lambda", "-0.5", "--grid", "0:1:3"],
+        ["delay", "--fig", "1", "--lambda", "0.12359503110847067", "--lambda", "10"],
+    ],
+    ids=["eval-lambda-driven", "eval-zero-field-minus", "eval-zero-field-plus", "delay"],
+)
+def test_window_bound_lambda_is_usage_error(capsys, argv):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "is the window bound: the profile is a constant" in err
 
 
 def test_delay_rejects_forbidden_lambda(capsys):

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import glkinks
+from glkinks import analysis, kinks
 from glkinks.errors import NonPositiveCoefficient, NonPositiveRate, SingularPoint
 from glkinks.kinks import (
     SINGULAR_TOL,
@@ -186,6 +187,69 @@ def test_first_derivative_matches_finite_difference(
     fd2 = (d1[2] - d1[0]) / (2.0 * h)
     scale2 = 1.0 + abs(fd2) + float(np.max(np.abs(d1)))
     assert float(one_pass.derivatives[1][1]) == pytest.approx(fd2, abs=1e-4 * scale2)
+
+
+def _one_pass_kernel(p, xi, order):
+    """The kernel as one pass over the whole array: (value, *derivatives, den)."""
+    x = np.asarray(xi, dtype=float)
+    z = (x.reshape(-1) - p.xi0) * p.rate
+    grow = z > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
+        e = np.exp(np.copysign(z, -1.0))
+        a = np.maximum(e, grow)
+        b = np.maximum(e, ~grow)
+        num = a * p.num_u + b * p.num_1
+        den = a * p.den_u + b * p.den_1
+        inner = b * p.den_1 - a * p.den_u
+        w = p.num_u * p.den_1 - p.num_1 * p.den_u
+        if w == 0.0:
+            value = np.full(den.shape, p._constant_value())
+            derivatives = [np.zeros(den.shape) for _ in range(order)]
+        else:
+            value = num / den
+            den2 = den * den
+            derivatives = [
+                e * (p.rate * w) / den2,
+                e * (p.rate * p.rate * w) * inner / (den2 * den),
+            ][:order]
+    return [arr.reshape(x.shape) for arr in (value, *derivatives, den)]
+
+
+_B = kinks._BLOCK
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    coefs=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+    rate=st.floats(-3.0, 3.0),
+    xi0=st.floats(-2.0, 2.0),
+    n=st.sampled_from((0, 1, _B - 1, _B, _B + 1, 3 * _B + 5)),
+    order=st.sampled_from((0, 1, 2)),
+    constant=st.booleans(),
+    two_d=st.booleans(),
+)
+def test_kernel_blocks_match_one_pass(coefs, rate, xi0, n, order, constant, two_d):
+    num_u, num_1, den_u, den_1 = coefs
+    assume(den_u != 0.0 or den_1 != 0.0)
+    if constant:
+        num_u, num_1 = 2.0 * den_u, 2.0 * den_1
+    p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
+    # spans the pole region and far tails on either side
+    xi = np.linspace(-50.0, 50.0, n)
+    if two_d and n % 2 == 0:
+        xi = xi.reshape(2, n // 2)
+    kp = p.kernel(xi, order)
+    got = [kp.value, *kp.derivatives, kp.den]
+    want = _one_pass_kernel(p, xi, order)
+    assert len(got) == len(want) == order + 2
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == xi.shape
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_block_holds_a_pole_scan():
+    # a pole scan and each bisection subtree stay one kernel pass
+    assert kinks._BLOCK >= analysis._SCAN_POINTS
 
 
 # ------------------------------------------------------------ basic kinks
@@ -378,13 +442,60 @@ def test_zero_field_removable_point():
     assert sol.singularities[0] == pytest.approx(math.log(2.0) * SQRT2, rel=1e-14)
 
 
-def test_zero_field_degenerate_constant_members():
+def test_lambda_constructors_reject_the_window_bound():
+    # at the window bound the family is a constant, not a kink: zero field
+    # at lam*sqrt(a1) = 1 on '-' (the catalogue held two such members at
+    # a1 = 1) and -1 on '+', figure 1's driven family at its bound
     params = ModelParams(4.0, 1.0)
-    for variant, value in (("first", -2.0), ("second", 2.0)):
-        sol = lambda_zero_field_solution(params, "-", variant, 0.5)  # lam*sqrt(a1) == 1
-        assert sol.profile._is_constant()
-        assert float(sol.profile.value(0.0)) == pytest.approx(value, rel=1e-15)
-        assert residual(sol).max_abs_residual == 0.0
+    for variant in ("first", "second"):
+        for branch, lam in (("-", 0.5), ("+", -0.5)):
+            with pytest.raises(ValueError, match="window bound"):
+                lambda_zero_field_solution(params, branch, variant, lam)
+    setup = driven_setup(3.0, 0.7, 2.2772)
+    with pytest.raises(ValueError, match="window bound"):
+        lambda_driven_solution(setup, "I", "+", 0.12359503110847067)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    a1=log_uniform(-4.0, 4.0).map(abs),
+    b1=log_uniform(-4.0, 4.0).map(abs),
+    t=st.floats(0.1, 0.9),
+    case=st.sampled_from(("I", "II")),
+    branch=st.sampled_from(("+", "-")),
+    variant=st.sampled_from(("first", "second")),
+    ulps=st.integers(-2, 2),
+)
+def test_lambda_constructors_never_return_a_constant(a1, b1, t, case, branch, variant, ulps):
+    # lambda at the bound and a few floats either side of it: the bound is
+    # refused, and so is any neighbour whose rounded coefficients collapse
+    from glkinks.analysis import lambda_forbidden_interval
+    from glkinks.model import epsilon_admissible_interval
+
+    params = ModelParams(a1, b1)
+    s = 1.0 if branch == "+" else -1.0
+    builds = [(-s / math.sqrt(a1), lambda lam: lambda_zero_field_solution(
+        params, branch, variant, lam))]
+    window = epsilon_admissible_interval(a1, b1, case, branch)
+    setup = driven_setup(a1, b1, window.lower + t * (window.upper - window.lower))
+    try:
+        bound = lambda_forbidden_interval(setup, case, branch).bound_value
+    except NonPositiveRate:
+        pass
+    else:
+        builds.append((bound, lambda lam: lambda_driven_solution(setup, case, branch, lam)))
+    for bound, build in builds:
+        with pytest.raises(ValueError, match="window bound"):
+            build(bound)
+        lam = bound
+        for _ in range(abs(ulps)):
+            lam = math.nextafter(lam, math.copysign(math.inf, ulps))
+        try:
+            sol = build(lam)
+        except ValueError as exc:
+            assert "constant" in str(exc)
+        else:
+            assert not sol.profile._is_constant()
 
 
 def test_zero_field_variant_validation():

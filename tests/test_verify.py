@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from glkinks import kinks
 from glkinks.errors import DomainMismatch, EmptyGrid, NonFinite
 from glkinks.kinks import (
+    catalogue,
     driven_solution,
     lambda_zero_field_solution,
     undriven_solution,
 )
 from glkinks.model import ModelParams, driven_setup
 from glkinks.verify import (
+    ResidualReport,
     Trajectory,
     compare,
     integrate_riccati,
@@ -97,6 +101,107 @@ def test_residual_skips_singular_points():
     report = residual(sol, grid=np.array([-1.0, 0.0, 1.0]))
     assert report.skipped == 1
     assert report.max_abs_residual < 1e-12
+
+
+def _full_array_residual(sol, rho, xi, mode):
+    """residual() as one pass over the whole grid and one np.argmax."""
+    p = sol.profile
+    sing = p.is_singular(xi)
+    keep = ~sing
+    kp = p.kernel(xi, 2 if mode == "analytic" else 0)
+    xi_ok, psi = xi[keep], kp.value[keep]
+    if mode == "analytic":
+        d1, d2 = (d[keep] for d in kp.derivatives)
+    else:
+        h = 1e-4
+        up, dn = p.value(xi_ok + h), p.value(xi_ok - h)
+        d1 = (up - dn) / (2.0 * h)
+        d2 = (up - 2.0 * psi + dn) / (h * h)
+    a1, b1, drive = sol.params.a1, sol.params.b1, sol.eta_gamma
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = d2 + rho * d1 - b1 * (psi * psi * psi) + a1 * psi + drive
+        k = int(np.argmax(np.abs(res)))
+    return ResidualReport(
+        max_abs_residual=float(abs(res[k])),
+        argmax_xi=float(xi_ok[k]),
+        grid=(float(xi.min()), float(xi.max()), int(xi.size)),
+        derivative_mode=mode,
+        skipped=int(np.count_nonzero(sing)),
+    )
+
+
+_B = kinks._BLOCK
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    member=st.integers(0, 36),
+    n=st.sampled_from((1, 2, _B - 1, _B, _B + 1, 3 * _B + 5)),
+    mode=st.sampled_from(("analytic", "fd")),
+    perturb=st.sampled_from((0.0, 1e-3, -0.5)),
+    poles=st.lists(st.integers(0, 3 * _B + 4), max_size=4),
+)
+def test_residual_blocks_match_full_array(member, n, mode, perturb, poles):
+    label, sol = catalogue(2.0, 0.5)[member]
+    w = 1.0 / sol.width_inverse
+    xi = sol.xi0 + np.linspace(-40.0 * w, 40.0 * w, n)
+    # put the pole itself on some grid points, for residual to skip
+    for i in poles:
+        if sol.singularities and i < n - 1:
+            xi[i] = sol.singularities[0]
+    rho = sol.forced_rho * (1.0 + perturb)
+    want = _full_array_residual(sol, rho, xi, mode)
+    assume(want.skipped < n)
+    got = residual(sol, rho=rho, grid=xi, mode=mode)
+    assert repr(got) == repr(want), label
+
+
+def _unit_kink():
+    return undriven_solution(ModelParams(1.0, 1.0), 1)
+
+
+def test_residual_tie_across_a_block_boundary_keeps_the_first():
+    # at rho = 1e300 the residual is rho*psi', and psi' of this kink is
+    # even in xi bit for bit, so -0.5 (last of block 0) and 0.5 (first of
+    # block 1) tie for the maximum
+    sol = _unit_kink()
+    xi = np.concatenate([np.linspace(-40.0, -0.5, _B), np.linspace(0.5, 40.0, _B)])
+    left = residual(sol, rho=1e300, grid=np.array([-0.5]))
+    right = residual(sol, rho=1e300, grid=np.array([0.5]))
+    assert left.max_abs_residual == right.max_abs_residual
+    got = residual(sol, rho=1e300, grid=xi)
+    assert (got.max_abs_residual, got.argmax_xi) == (left.max_abs_residual, -0.5)
+    assert repr(got) == repr(_full_array_residual(sol, 1e300, xi, "analytic"))
+
+
+def test_residual_first_nan_wins_across_blocks():
+    # at rho = inf the residual is -inf wherever psi' < 0 (a tie over all of
+    # block 0) and inf*0 = nan where psi' underflows to 0, beyond about 1054
+    # widths: the first nan, at the start of block 1, wins over both
+    sol = _unit_kink()
+    xi = np.concatenate(
+        [np.linspace(-40.0, 40.0, _B), [2000.0], np.linspace(-40.0, 40.0, _B), [3000.0]]
+    )
+    with np.errstate(invalid="ignore"):
+        got = residual(sol, rho=math.inf, grid=xi)
+        block0 = residual(sol, rho=math.inf, grid=xi[:_B])
+    assert math.isnan(got.max_abs_residual) and got.argmax_xi == 2000.0
+    assert repr(got) == repr(_full_array_residual(sol, math.inf, xi, "analytic"))
+    assert (block0.max_abs_residual, block0.argmax_xi) == (math.inf, -40.0)
+
+
+def test_residual_allocates_block_temporaries_only():
+    # one kernel pass per block of the grid: whole-grid temporaries made
+    # the peak 7.4 MB on this grid, where the grid itself is 0.8 MB
+    sol = _unit_kink()
+    xi = verification_grid(sol, n=100_000)
+    tracemalloc.start()
+    try:
+        residual(sol, grid=xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_integrate_second_order_tracks_profile():
