@@ -8,16 +8,13 @@ closed form and assembles the midpoint-versus-lambda delay curve from them.
 
 singularity_scan is the numeric pole oracle: it locates poles without the
 closed form, to cross-check the ones a constructor reports.  It scans the
-denominator for sign changes, then bisects each bracket to an absolute
-1e-10.  A profile call costs about the same on 1 point as on 16 (numpy's
-per-call overhead dominates), so the bisection evaluates a subtree at a
-time: the midpoints of the next four halvings of [lo, hi], 15 points built
-with the same 0.5 * (lo + hi) a plain bisection uses, plus lo itself, in
-one call.  It then walks the subtree with the plain rules (stop on an
-exact zero or a bracket narrower than the tolerance, keep the half whose
-ends differ in sign, at most 200 halvings).  The midpoints and decisions
-are those of one-point bisection, so every root is bit-identical to it, at
-a quarter of the profile calls.
+denominator for sign changes in one kernel pass over a dense grid, then
+bisects each bracket to an absolute 1e-10.  The bisection evaluates one
+point per step with MobiusExpProfile.den_at, the kernel's denominator at
+one float in plain float arithmetic: on a 2-vCPU Xeon a kernel call costs
+some 25 us whatever its size, most of it numpy's per-call overhead, and
+den_at about 1 us.  den_at gives the kernel's bits, so the roots are those a bisection
+through kernel would find.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ from .model import AdmissibleRange, DrivenSetup, _as_case, _as_sign
 _SCAN_POINTS = 10_001
 _BISECT_TOL = 1e-10
 _MAX_HALVINGS = 200
-# halvings per profile call in _bisect: 2**4 - 1 = 15 midpoints
-_SUBTREE_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -78,64 +73,42 @@ def _default_range(solution: KinkSolution) -> tuple[float, float]:
     return (solution.xi0 - 40.0 * w, solution.xi0 + 40.0 * w)
 
 
-def _subtree(lo: float, hi: float) -> list[float]:
-    """[lo, hi] halved _SUBTREE_LEVELS times: 2**levels + 1 edges in order.
-
-    Every interior edge is 0.5 * (left + right) of the two edges it splits,
-    exactly the midpoint a one-point bisection computes for that bracket.
-    """
-    edges = [lo, hi]
-    for _ in range(_SUBTREE_LEVELS):
-        out = [lo]
-        for a, b in zip(edges, edges[1:]):
-            out += (0.5 * (a + b), b)
-        edges = out
-    return edges
-
-
 def _bisect(f, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
-    """Sign change of f in [lo, hi] by bisection, a subtree per call of f.
+    """Sign change of the scalar function f in [lo, hi] by bisection.
 
-    f maps a 1-D float array to an array of the same shape.  Each call
-    evaluates lo and the midpoints of the next _SUBTREE_LEVELS halvings;
-    the walk through them takes the steps and decisions of a one-point
-    bisection, so the result is bit-identical to it.
+    Stops on an exact zero of f at a midpoint, on a bracket narrower than
+    tol or after _MAX_HALVINGS halvings, and returns the last midpoint; f
+    is not evaluated when [lo, hi] is already narrower than tol.
     """
-    flo = None
-    steps = 0
-    while steps < _MAX_HALVINGS:
+    if hi - lo < tol:
+        return 0.5 * (lo + hi)
+    flo = f(lo)
+    for _ in range(_MAX_HALVINGS):
+        mid = 0.5 * (lo + hi)
         if hi - lo < tol:
-            return 0.5 * (lo + hi)
-        edges = _subtree(lo, hi)
-        fx = f(np.array(edges[:-1])).tolist()
-        if flo is None:
-            flo = fx[0]
-        # edge indices of the current bracket; it halves once per step
-        left, right = 0, len(edges) - 1
-        while right - left > 1 and steps < _MAX_HALVINGS:
-            k = (left + right) // 2
-            mid = edges[k]
-            if hi - lo < tol:
-                return mid
-            steps += 1
-            fmid = fx[k]
-            if fmid == 0.0:
-                return mid
-            if (flo < 0.0) != (fmid < 0.0):
-                right, hi = k, mid
-            else:
-                left, lo, flo = k, mid, fmid
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0.0) != (fmid < 0.0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
     return 0.5 * (lo + hi)
 
 
-def _sign_change_roots(f, lo, hi) -> list[float]:
-    """Scan f on _SCAN_POINTS points of [lo, hi]; exact zeros plus bisected flips."""
+def _sign_change_roots(f, f_at, lo, hi) -> list[float]:
+    """Exact zeros plus bisected flips of f on _SCAN_POINTS points of [lo, hi].
+
+    f maps a 1-D float array to an array of the same shape and scans the
+    grid; f_at is the same function at one float and bisects the flips.
+    """
     xi = np.linspace(float(lo), float(hi), _SCAN_POINTS)
     sgn = np.sign(f(xi))
     flips = np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]
     exact = np.nonzero(sgn == 0.0)[0]
     roots = [float(xi[i]) for i in exact]
-    roots += [_bisect(f, float(xi[i]), float(xi[i + 1])) for i in flips]
+    roots += [_bisect(f_at, float(xi[i]), float(xi[i + 1])) for i in flips]
     return roots
 
 
@@ -146,11 +119,15 @@ def singularity_scan(solution: KinkSolution, xi_range=None) -> tuple[float, ...]
     refines each sign change by bisection to 1e-10.  Cross-checks the
     singularities the constructor reported.  The denominator is the one
     the profile evaluates with, in its overflow-free scaling: off by a
-    positive factor, so its sign changes are the true ones.
+    positive factor, so its sign changes are the true ones.  Raises
+    ValueError unless xi_range is a finite (lo, hi) with lo < hi.
     """
     lo, hi = xi_range if xi_range is not None else _default_range(solution)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"xi_range must be finite with lo < hi, got ({lo}, {hi})")
     profile = solution.profile
-    return tuple(sorted(_sign_change_roots(lambda x: profile.kernel(x).den, lo, hi)))
+    roots = _sign_change_roots(lambda x: profile.kernel(x).den, profile.den_at, lo, hi)
+    return tuple(sorted(roots))
 
 
 def switching_midpoint(solution: KinkSolution) -> float:

@@ -99,6 +99,7 @@ class MobiusExpProfile:
     reciprocal form is used on the growing side), so no intermediate can
     overflow no matter how far out xi is.  is_singular needs no kernel
     pass: it measures the distance to the closed-form pole (pole_xis).
+    den_at is the kernel's denominator at one float, for bisections.
     """
 
     num_u: float
@@ -189,6 +190,17 @@ class MobiusExpProfile:
                 if order == 2:
                     derivatives += (e * (self.rate * self.rate * w) * inner / (den2 * den),)
         return ProfilePass(value, derivatives, den)
+
+    def den_at(self, x: float) -> float:
+        """kernel(x).den at one float, bit for bit, without building arrays.
+
+        One of _pass's a and b is exactly 1.0, so its den is den_u + e*den_1
+        on the growing side and e*den_u + den_1 elsewhere.  np.exp gives a
+        scalar the same bits as an array element; math.exp does not always.
+        """
+        z = (x - self.xi0) * self.rate
+        e = float(np.exp(-abs(z)))
+        return self.den_u + e * self.den_1 if z > 0.0 else e * self.den_u + self.den_1
 
     def value(self, xi):
         """Profile value; elementwise over arrays, no singularity checks."""

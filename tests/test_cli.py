@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glkinks
+from glkinks import cli
 from glkinks.cli import _csv_rows, main
 from glkinks.verify import integrate_second_order
 
@@ -638,6 +639,56 @@ def test_delay_degenerate_case_root_is_domain_error(capsys):
     )
     assert rc == 3
     assert "no lambda family" in err
+
+
+# ----------------------------------------------------------- parser reuse
+
+
+def _delay_lambdas(out):
+    rows = [ln for ln in out.splitlines() if ln and not ln.startswith("#")][1:]
+    return [row.split(",")[0] for row in rows]
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert _run(capsys, "delay", "--fig", "1")[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_repeated_lambdas_do_not_pile_up(capsys):
+    parser = cli._build_parser()
+    for _ in range(2):
+        assert parser.parse_args(["delay", "--lambda", "3", "--lambda", "4"]).lambda_list == [3, 4]
+        assert parser.parse_args(["delay"]).lambda_list == []
+    rc, out, _ = _run(capsys, "delay", "--fig", "1", "--lambda", "10", "--lambda", "20")
+    assert (rc, _delay_lambdas(out)) == (0, ["10", "20"])
+    rc, out, _ = _run(capsys, "delay", "--fig", "1", "--lambda", "30")
+    assert (rc, _delay_lambdas(out)) == (0, ["30"])
+    # eval takes exactly one --lambda, so one left over from the last call would fail it
+    argv = ["eval", "--a1", "1", "--b1", "1", "--branch", "+", "--variant", "second",
+            "--lambda", "2", "--grid", "0:1:3"]
+    assert _run(capsys, *argv) == _run(capsys, *argv)
+    assert _run(capsys, *argv)[0] == 0
+
+
+def test_parser_calls_do_not_leak_into_later_output(capsys):
+    cli._build_parser.cache_clear()
+    fresh = _run(capsys, "delay", "--fig", "1")
+    assert fresh[0] == 0 and len(_delay_lambdas(fresh[1])) == 4
+    rc, out, _ = _run(capsys, "delay", "--fig", "1", "--lambda", "0.3")
+    assert (rc, _delay_lambdas(out)) == (0, ["0.29999999999999999"])
+    # the figure's own lambdas again, not the 0.3 of the last call
+    assert _run(capsys, "delay", "--fig", "1") == fresh
+    _assert_argparse_error(capsys, ["delay", "--lambda", "0.3", "--fig", "9"], "--fig")
+    _assert_argparse_error(capsys, ["delay", "--fig", "1", "--bogus"], "--bogus")
+    with pytest.raises(SystemExit) as exc:
+        main(["delay", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert _run(capsys, "delay", "--fig", "1", "--a1", "1")[0] == 2
+    assert _run(capsys, "delay", "--fig", "1") == fresh
 
 
 # ---------------------------------------------------------- entry points

@@ -248,8 +248,35 @@ def test_kernel_blocks_match_one_pass(coefs, rate, xi0, n, order, constant, two_
 
 
 def test_block_holds_a_pole_scan():
-    # a pole scan and each bisection subtree stay one kernel pass
+    # the dense pass of a pole scan stays one kernel pass
     assert kinks._BLOCK >= analysis._SCAN_POINTS
+
+
+_signed_coef = log_uniform(-6.0, 6.0) | st.just(0.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    coefs=st.tuples(*[_signed_coef] * 4),
+    rate=log_uniform(-3.0, 3.0),
+    xi0=st.floats(-5.0, 5.0),
+    widths=st.lists(st.floats(-60.0, 60.0), max_size=20),
+)
+def test_den_at_matches_kernel_bits(coefs, rate, xi0, widths):
+    # z = +-0 at xi0 (the sign of rate picks which), the far tails at
+    # +-800 widths, the pole itself and random points around xi0
+    num_u, num_1, den_u, den_1 = coefs
+    assume(den_u != 0.0 or den_1 != 0.0)
+    p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
+    points = [xi0, xi0 + 800.0 / rate, xi0 - 800.0 / rate, *p.pole_xis()]
+    points += [xi0 + t / abs(rate) for t in widths]
+    got = np.array([p.den_at(x) for x in points])
+    assert all(type(p.den_at(x)) is float for x in points)
+    for x, g in zip(points, got):
+        one = p.kernel(np.array([x])).den[0]
+        assert g.view(np.int64) == one.view(np.int64), (x, g, one)
+    # and as elements of one many-point pass
+    np.testing.assert_array_equal(got.view(np.int64), p.kernel(np.array(points)).den.view(np.int64))
 
 
 # ------------------------------------------------------------ basic kinks
