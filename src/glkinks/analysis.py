@@ -6,6 +6,21 @@ midpoint.  For each driven family a window of lambda values produces a pole
 instead of a kink.  This module computes that window and the midpoint in
 closed form and assembles the midpoint-versus-lambda delay curve from them.
 
+The curve obeys the delay law
+
+    Delta(lam) = xi_mid(lam) - xi_mid(inf) = log(1 - lam_b/lam) / alpha,
+
+where alpha is the rate of the family's "+" branch (r/sqrt(2) for a
+driven family) and lam_b the window bound (LambdaDomain.bound_value).  It
+follows from the midpoint root u* of the Moebius profile, for example
+u* = 1/2 - sqrt(b1)/(4*lam*r) on the driven "+" branch.  The delay
+diverges logarithmically as lambda approaches the window edge from
+outside, decays like -lam_b/(alpha*lam) as lambda -> +-inf, and there is
+no crossing where 1 - lam_b/lam <= 0.  The zero-field "second" families
+obey the same law with alpha = sqrt(a1/2) and lam_b = -1/sqrt(a1) on "+",
++1/sqrt(a1) on "-".  tests/test_analysis.py::_delay_law checks
+delay_curve against it.
+
 singularity_scan is the numeric pole oracle: it locates poles without the
 closed form, to cross-check the ones a constructor reports.  It scans the
 denominator for sign changes in one kernel pass over a dense grid, then
@@ -59,8 +74,7 @@ def lambda_forbidden_interval(setup: DrivenSetup, case: str, branch) -> LambdaDo
     """
     c = _as_case(case)
     s = _as_sign(branch)
-    r = setup.rate(c)
-    bound = s * math.sqrt(setup.b1) / (2.0 * r)
+    bound = setup.lambda_bound(c, s)
     forbidden = AdmissibleRange(
         min(0.0, bound), max(0.0, bound), lower_open=True, upper_open=True
     )
@@ -69,7 +83,7 @@ def lambda_forbidden_interval(setup: DrivenSetup, case: str, branch) -> LambdaDo
 
 
 def _default_range(solution: KinkSolution) -> tuple[float, float]:
-    w = 1.0 / solution.width_inverse if solution.width_inverse > 0.0 else 1.0
+    w = 1.0 / solution.width_inverse
     return (solution.xi0 - 40.0 * w, solution.xi0 + 40.0 * w)
 
 

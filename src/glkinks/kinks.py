@@ -9,8 +9,12 @@ which makes the analytic machinery uniform: derivatives, asymptotic limits,
 the (at most one) real pole and the (at most one) crossing of any level,
 such as the switching midpoint, all come from the same four coefficients,
 and one kernel pass (MobiusExpProfile.kernel) evaluates value, derivatives
-and denominator together from a single exponential.  A point is singular
-when it lies within SINGULAR_TOL kink widths of the closed-form pole.
+and denominator together from a single exponential.  Every profile is a
+kink: MobiusExpProfile refuses a zero rate and a zero determinant
+n_u*d_1 - n_1*d_u, the two ways the form collapses to a constant, so the
+profile switches between two distinct levels (one of them infinite where a
+denominator coefficient is zero).  A point is singular when it lies within
+SINGULAR_TOL kink widths of the closed-form pole.
 The families are
 
   * the two-root kink of the unit cubic (montroll_solution),
@@ -90,7 +94,12 @@ class ProfilePass:
 
 @dataclass(frozen=True)
 class MobiusExpProfile:
-    """(n_u*u + n_1)/(d_u*u + d_1) with u = exp(rate*(xi - xi0)).
+    """(n_u*u + n_1)/(d_u*u + d_1) with u = exp(rate*(xi - xi0)), a kink.
+
+    The coefficients must be finite, the rate nonzero and the determinant
+    w = n_u*d_1 - n_1*d_u nonzero; otherwise the form is a constant and
+    construction raises ValueError.  So every profile switches between two
+    distinct limits (one infinite when d_1 or d_u is zero).
 
     kernel() is the one evaluation path: a single exponential per call
     yields the value, the derivatives up to order 2 and the denominator
@@ -113,25 +122,17 @@ class MobiusExpProfile:
         fields = (self.num_u, self.num_1, self.den_u, self.den_1, self.rate, self.xi0)
         if not all(map(math.isfinite, fields)):
             raise ValueError(f"profile coefficients must be finite, got {fields}")
-        if self.den_u == 0.0 and self.den_1 == 0.0:
-            raise ValueError("denominator is identically zero")
-
-    def _is_constant(self) -> bool:
-        return self.num_u * self.den_1 - self.num_1 * self.den_u == 0.0
-
-    def _constant_value(self) -> float:
-        if self.den_1 != 0.0:
-            return self.num_1 / self.den_1
-        return self.num_u / self.den_u
+        if self.rate == 0.0 or self.num_u * self.den_1 - self.num_1 * self.den_u == 0.0:
+            raise ValueError(f"profile is a constant, not a kink: {fields}")
 
     def kernel(self, xi, order: int = 0) -> ProfilePass:
         """Value, derivatives up to order (0-2) and denominator at xi.
 
         One exponential serves all three.  At the pole value and
         derivatives are whatever the division gives (inf or nan), without
-        warnings.  Constant profiles report their constant and zero
-        derivatives.  Points are evaluated _BLOCK at a time and the pieces
-        joined, which gives the same values as one pass.
+        warnings.  The profile is a kink, never a constant, so one formula
+        serves every point.  Points are evaluated _BLOCK at a time and the
+        pieces joined, which gives the same values as one pass.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
@@ -177,18 +178,14 @@ class MobiusExpProfile:
             # d_1 - d_u*u in the scaling of den, for psi''
             inner = b * self.den_1 - a * self.den_u if order == 2 else None
             del a, b
-            w = self.num_u * self.den_1 - self.num_1 * self.den_u
+            value = num / den
             derivatives = ()
-            if w == 0.0:
-                value = np.full(den.shape, self._constant_value())
-                derivatives = tuple(np.zeros(den.shape) for _ in range(order))
-            else:
-                value = num / den
-                if order >= 1:
-                    den2 = den * den
-                    derivatives = (e * (self.rate * w) / den2,)
-                if order == 2:
-                    derivatives += (e * (self.rate * self.rate * w) * inner / (den2 * den),)
+            if order >= 1:
+                w = self.num_u * self.den_1 - self.num_1 * self.den_u
+                den2 = den * den
+                derivatives = (e * (self.rate * w) / den2,)
+            if order == 2:
+                derivatives += (e * (self.rate * self.rate * w) * inner / (den2 * den),)
         return ProfilePass(value, derivatives, den)
 
     def den_at(self, x: float) -> float:
@@ -233,7 +230,7 @@ class MobiusExpProfile:
 
     def _root_xi(self, c_u: float, c_1: float) -> float | None:
         """The xi where c_u*u + c_1 vanishes for some u > 0, else None."""
-        if self.rate == 0.0 or c_u == 0.0:
+        if c_u == 0.0:
             return None
         u_star = -c_1 / c_u
         if u_star <= 0.0:
@@ -242,40 +239,26 @@ class MobiusExpProfile:
 
     def pole_xis(self) -> tuple[float, ...]:
         """Real poles, as xi values; at most one exists."""
-        if self._is_constant():
-            return ()
         xi = self._root_xi(self.den_u, self.den_1)
         return () if xi is None else (xi,)
 
     def _limit_u0(self) -> float:
         if self.den_1 != 0.0:
             return self.num_1 / self.den_1
-        if self.num_1 == 0.0:
-            return self.num_u / self.den_u
         return math.copysign(math.inf, self.num_1 * self.den_u)
 
     def _limit_uinf(self) -> float:
         if self.den_u != 0.0:
             return self.num_u / self.den_u
-        if self.num_u == 0.0:
-            return self.num_1 / self.den_1
         return math.copysign(math.inf, self.num_u * self.den_1)
 
     def left_limit(self) -> float:
         """Limit as xi -> -inf."""
-        if self.rate > 0.0:
-            return self._limit_u0()
-        if self.rate < 0.0:
-            return self._limit_uinf()
-        return (self.num_u + self.num_1) / (self.den_u + self.den_1)
+        return self._limit_u0() if self.rate > 0.0 else self._limit_uinf()
 
     def right_limit(self) -> float:
         """Limit as xi -> +inf."""
-        if self.rate > 0.0:
-            return self._limit_uinf()
-        if self.rate < 0.0:
-            return self._limit_u0()
-        return (self.num_u + self.num_1) / (self.den_u + self.den_1)
+        return self._limit_uinf() if self.rate > 0.0 else self._limit_u0()
 
 
 @dataclass(frozen=True)
@@ -440,14 +423,6 @@ def _check_lambda(lam: float, bound: float):
         raise ValueError(f"lambda = {lam!r} is the window bound: the profile is a constant")
 
 
-def _lambda_profile(lam: float, *coefficients) -> MobiusExpProfile:
-    profile = MobiusExpProfile(*coefficients)
-    # rounding can collapse the profile a float or two away from the bound
-    if profile._is_constant():
-        raise ValueError(f"lambda = {lam!r} collapses the profile to a constant")
-    return profile
-
-
 def lambda_zero_field_solution(
     params: ModelParams, branch, variant: str, lam: float, xi0: float = 0.0
 ) -> KinkSolution:
@@ -481,7 +456,7 @@ def lambda_zero_field_solution(
         num = (0.0, lam * params.a1)
         den = (g - 1.0, m * sb * g)
     rho = undriven_rho(params.a1, bsign)
-    profile = _lambda_profile(lam, num[0], num[1], den[0], den[1], rate, xi0)
+    profile = MobiusExpProfile(num[0], num[1], den[0], den[1], rate, xi0)
     tag = "+" if bsign > 0 else "-"
     return KinkSolution(
         f"lambda-zero-field-{variant}{tag}",
@@ -508,7 +483,7 @@ def lambda_driven_solution(
     s = _as_sign(branch)
     r = setup.rate(c)
     sb = math.sqrt(setup.b1)
-    _check_lambda(lam, s * sb / (2.0 * r))
+    _check_lambda(lam, setup.lambda_bound(c, s))
     eps = setup.epsilon
     alpha_r = r / SQRT2
     if s > 0:
@@ -520,8 +495,8 @@ def lambda_driven_solution(
         num = (r * (2.0 * lam * r + sb) / sb, 0.0)
         den = (2.0 * lam * r + sb, lam * r)
     rho = setup.rho(c, s)
-    profile = _lambda_profile(
-        lam, num[0] - eps * den[0], num[1] - eps * den[1], den[0], den[1], rate, xi0
+    profile = MobiusExpProfile(
+        num[0] - eps * den[0], num[1] - eps * den[1], den[0], den[1], rate, xi0
     )
     tag = "+" if s > 0 else "-"
     return KinkSolution(
@@ -595,14 +570,6 @@ def _raise_where(bad, xi, what: str):
         raise SingularPoint(what, xi=_first_offender(xi, bad))
 
 
-def _riccati_profile(c1: float, c2: float, p: float, q: float, xi0: float) -> MobiusExpProfile:
-    """The solution of y' = c1*y^2 + c2*y (c2 != 0) through y(xi0) = p/q.
-
-    With u = exp(c2*(xi - xi0)) it is c2*p*u / (c1*p*(1 - u) + c2*q).
-    """
-    return MobiusExpProfile(c2 * p, 0.0, -c1 * p, c1 * p + c2 * q, c2, xi0)
-
-
 def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi):
     """General solution of y' = c1*y^2 + c2*y through the particular y1.
 
@@ -617,7 +584,9 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
 
     and for c2 == 0 the rational g/(lam - c1*g*(xi - xi0)).  As
     lam -> +-inf it collapses to the particular solution; lam = 0 is the
-    solution with its pole at xi0.
+    solution with its pole at xi0.  The two constant solutions, 0 (g == 0)
+    and the fixed point -c2/c1 (c1*g + c2*lam == 0), are no kink, so they
+    are returned without building a profile.
 
     Raises
     ------
@@ -635,6 +604,7 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
         raise ValueError("c1 must be nonzero")
     x = np.asarray(xi, dtype=float)
     g = lam * y1 + 1.0
+    den_1 = c1 * g + c2 * lam
     if c2 == 0.0:
         z = x - xi0
         with np.errstate(invalid="ignore", over="ignore"):
@@ -646,8 +616,13 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
                 "lambda denominator vanishes",
             )
             vals = g / den
+    elif c2 * g * den_1 == 0.0:
+        # the constant solutions 0 (g == 0) and -c2/c1 (den_1 == 0) are no kink
+        if g == 0.0 and den_1 == 0.0:
+            raise ValueError("denominator is identically zero")
+        vals = np.full(x.shape, 0.0 / den_1 if den_1 != 0.0 else c2 * g / (-c1 * g))
     else:
-        profile = _riccati_profile(c1, c2, g, lam, xi0)
+        profile = MobiusExpProfile(c2 * g, 0.0, -c1 * g, den_1, c2, xi0)
         _raise_where(profile.is_singular(x), x, "lambda denominator vanishes")
         vals = profile.value(x)
     if x.ndim == 0:

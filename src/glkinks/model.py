@@ -118,6 +118,15 @@ class DrivenSetup:
             return s * (self.r_minus - math.sqrt(self.delta_eps)) / SQRT2
         return s * (self.r_plus + math.sqrt(self.delta_eps)) / SQRT2
 
+    def lambda_bound(self, case: str, sign) -> float:
+        """Signed bound sign*sqrt(b1)/(2r) of one lambda family's forbidden window.
+
+        Lambda strictly between 0 and the bound puts a pole on the real
+        axis; at either end the family is a constant.  Raises
+        NonPositiveRate where rate(case) does.
+        """
+        return _as_sign(sign) * math.sqrt(self.b1) / (2.0 * self.rate(case))
+
 
 def _as_case(case: str) -> str:
     c = str(case).upper()

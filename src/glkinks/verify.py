@@ -64,7 +64,7 @@ def verification_grid(
     Points closer than margin_widths widths to any pole are removed, so
     the grid is safe for both derivative modes.
     """
-    w = 1.0 / solution.width_inverse if solution.width_inverse > 0.0 else 1.0
+    w = 1.0 / solution.width_inverse
     xi = solution.xi0 + np.linspace(-widths * w, widths * w, int(n))
     keep = np.ones(xi.size, dtype=bool)
     for pole in solution.singularities:

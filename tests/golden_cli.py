@@ -95,6 +95,11 @@ ROSTER = [
     ("verify-a1-2-b1-0.5", ["verify", "--a1", "2", "--b1", "0.5"], "verify", 0),
     ("verify-lambda-zero-field-a1-2-b1-0.5",
      ["verify", "--family", "lambda-zero-field", "--a1", "2", "--b1", "0.5"], "verify", 0),
+    # the residual gate is relative to the equation's largest term: it
+    # passes correct profiles and fails perturbed ones at any scale
+    ("verify-a1-1e6-b1-1e-6", ["verify", "--a1", "1e6", "--b1", "1e-6"], "verify", 0),
+    ("verify-perturbed-a1-1e-6-b1-1e6",
+     ["verify", "--a1", "1e-6", "--b1", "1e6", "--perturb-rho", "0.001"], "verify", 1),
 ]
 
 

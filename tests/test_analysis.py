@@ -199,15 +199,21 @@ def test_switching_midpoint_basic_kink():
     assert xi_mid == pytest.approx(0.0, abs=1e-9)
 
 
-def _constant_kink():
-    # the constructors refuse a lambda that makes the profile a constant
-    profile = MobiusExpProfile(-2.0, -2.0, 1.0, 1.0, 1.0, 0.0)
-    return KinkSolution("constant", ModelParams(1.0, 1.0), None, None, profile)
+def _infinite_limit_kink():
+    # (u + 1)/u: psi -> +inf as xi -> -inf, so no finite midpoint level
+    profile = MobiusExpProfile(1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
+    return KinkSolution("infinite-limit", ModelParams(1.0, 1.0), None, None, profile)
+
+
+def test_constant_profile_is_refused():
+    # -2(u + 1)/(u + 1) is no kink: the profile type itself refuses it
+    with pytest.raises(ValueError, match="constant"):
+        MobiusExpProfile(-2.0, -2.0, 1.0, 1.0, 1.0, 0.0)
 
 
 def test_switching_midpoint_no_crossing_cases():
     with pytest.raises(NoCrossing):
-        switching_midpoint(_constant_kink())
+        switching_midpoint(_infinite_limit_kink())
     poled = undriven_solution(ModelParams(1.0, 1.0), 3)
     # the midpoint level lies between the branches, never on the profile
     with pytest.raises(NoCrossing):
@@ -436,7 +442,7 @@ def test_switching_midpoint_matches_scan_oracle_on_edge_cases():
     for sol in (
         undriven_solution(params, 1),
         undriven_solution(params, 3),  # pole: no crossing
-        _constant_kink(),
+        _infinite_limit_kink(),
         lambda_zero_field_solution(params, "+", "first", 1.0),
         # (u - c)/(u + c) crosses 0 at xi = log(c): 39 widths out, then 41
         _shifted_kink(39.0),
@@ -522,7 +528,8 @@ _coef = st.floats(-5.0, 5.0, allow_nan=False)
 def test_bisect_matches_one_point_bisection(
     coefs, rate, xi0, use_den, level, lo, log_width, tol
 ):
-    assume(coefs[2] != 0.0 or coefs[3] != 0.0)
+    num_u, num_1, den_u, den_1 = coefs
+    assume(num_u * den_1 - num_1 * den_u != 0.0)  # a kink, not a constant
     profile = MobiusExpProfile(*coefs, rate, xi0)
     if use_den:
         f = lambda x: profile.kernel(x).den  # noqa: E731

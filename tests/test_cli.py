@@ -416,6 +416,24 @@ def test_figure_writes_expected_files(tmp_path, capsys):
     assert len(profile.splitlines()) > 4000
 
 
+def test_eval_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    argv = ["eval", "--a1", "1", "--b1", "1", "--index", "1", "--out", str(target)]
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ")
+    assert not target.parent.exists()
+
+
+def test_figure_out_on_a_file_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("kept\n")
+    rc, out, err = _run(capsys, "figure", "--fig", "1", "--out", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ")
+    assert target.read_text() == "kept\n"
+
+
 def test_figure_requires_known_id(capsys):
     _assert_argparse_error(capsys, ["figure", "--fig", "5"], "--fig")
     _assert_argparse_error(capsys, ["figure"], "--fig")
@@ -453,9 +471,9 @@ def _rk4_line(out: str) -> str:
 
 @pytest.mark.parametrize("a1,b1", [("1e6", "1e-6"), ("1e-6", "1e6")], ids=["wide", "narrow"])
 def test_verify_rk4_passes_at_extreme_scales(capsys, a1, b1):
-    # the residual lines at these scales are another matter: only RK4 is checked
-    _, out, _ = _run(capsys, "verify", "--a1", a1, "--b1", b1, "--family", "undriven")
+    rc, out, _ = _run(capsys, "verify", "--a1", a1, "--b1", b1, "--family", "undriven")
     assert _rk4_line(out).startswith("PASS  ")
+    assert rc == 0 and "5/5 checks passed" in out
 
 
 @pytest.mark.parametrize(

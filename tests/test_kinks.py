@@ -38,19 +38,35 @@ _ROOTS = (0.0, 1.0, -1.0)
 
 
 def test_profile_rejects_zero_denominator():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="constant"):
         MobiusExpProfile(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
 
-def test_profile_constant_detection():
-    p = MobiusExpProfile(2.0, 4.0, 1.0, 2.0, 1.0, 0.0)  # 2(u+2)/(u+2)
-    assert p._is_constant()
-    xi = np.linspace(-5.0, 5.0, 11)
-    assert np.all(p.value(xi) == 2.0)
-    assert np.all(p.first_derivative(xi) == 0.0)
-    assert np.all(p.second_derivative(xi) == 0.0)
-    assert not np.any(p.is_singular(xi))
-    assert p.pole_xis() == ()
+def test_profile_rejects_a_constant():
+    with pytest.raises(ValueError, match="constant"):
+        MobiusExpProfile(2.0, 4.0, 1.0, 2.0, 1.0, 0.0)  # 2(u+2)/(u+2)
+
+
+def _is_kink(num_u, num_1, den_u, den_1, rate):
+    return rate != 0.0 and num_u * den_1 - num_1 * den_u != 0.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    coefs=st.tuples(*[log_uniform(-6.0, 6.0) | st.just(0.0)] * 4),
+    rate=log_uniform(-6.0, 6.0) | st.just(0.0),
+    xi0=st.floats(-5.0, 5.0),
+    twin=st.booleans(),
+)
+def test_profile_raises_exactly_on_a_constant(coefs, rate, xi0, twin):
+    num_u, num_1, den_u, den_1 = coefs
+    if twin and den_u != 0.0:
+        num_1 = num_u * den_1 / den_u  # often makes w == 0 exactly
+    if _is_kink(num_u, num_1, den_u, den_1, rate):
+        MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
+    else:
+        with pytest.raises(ValueError, match="constant"):
+            MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
 
 
 def test_profile_overflow_safety_far_out():
@@ -76,10 +92,9 @@ def test_profile_limits_by_rate_sign():
     assert q.right_limit() == 0.5
 
 
-def test_profile_limits_zero_rate():
-    p = MobiusExpProfile(1.0, 2.0, 1.0, 1.0, 0.0, 0.0)
-    assert p.left_limit() == 1.5
-    assert p.right_limit() == 1.5
+def test_profile_rejects_zero_rate():
+    with pytest.raises(ValueError, match="constant"):
+        MobiusExpProfile(1.0, 2.0, 1.0, 1.0, 0.0, 0.0)
 
 
 def test_profile_infinite_limit_direction():
@@ -139,6 +154,7 @@ def test_pole_stays_singular_below_its_rounding():
     k=st.integers(-60, 60),
 )
 def test_singular_mask_ignores_power_of_two_scaling(num_u, num_1, den_u, den_1, rate, xi0, k):
+    assume(_is_kink(num_u, num_1, den_u, den_1, rate))
     p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
     scaled = MobiusExpProfile(*(math.ldexp(c, k) for c in (num_u, num_1, den_u, den_1)), rate, xi0)
     poles = p.pole_xis()
@@ -156,14 +172,9 @@ def test_singular_mask_ignores_power_of_two_scaling(num_u, num_1, den_u, den_1, 
     den_1=st.floats(-3.0, 3.0),
     rate=st.floats(-3.0, 3.0),
     x=st.floats(-4.0, 4.0),
-    constant=st.booleans(),
 )
-def test_first_derivative_matches_finite_difference(
-    num_u, num_1, den_u, den_1, rate, x, constant
-):
-    assume(abs(den_u) + abs(den_1) > 1e-3)
-    if constant:
-        num_u, num_1 = 2.0 * den_u, 2.0 * den_1  # psi == 2 exactly
+def test_first_derivative_matches_finite_difference(num_u, num_1, den_u, den_1, rate, x):
+    assume(abs(den_u) + abs(den_1) > 1e-3 and _is_kink(num_u, num_1, den_u, den_1, rate))
     p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, 0.0)
     h = 1e-5
     pts = np.array([x - h, x, x + h])
@@ -174,9 +185,6 @@ def test_first_derivative_matches_finite_difference(
     np.testing.assert_array_equal(one_pass.value, vals)
     np.testing.assert_array_equal(one_pass.derivatives[0], d1)
     np.testing.assert_array_equal(one_pass.derivatives[1], p.second_derivative(pts))
-    if constant:
-        assert np.all(vals == 2.0) and not np.any(p.is_singular(pts))
-        assert np.all(one_pass.derivatives[0] == 0.0) and np.all(one_pass.derivatives[1] == 0.0)
     assume(np.all(np.isfinite(vals)) and np.max(np.abs(vals)) < 1e2)
     fd = (vals[2] - vals[0]) / (2.0 * h)
     exact = float(p.first_derivative(x))
@@ -202,16 +210,12 @@ def _one_pass_kernel(p, xi, order):
         den = a * p.den_u + b * p.den_1
         inner = b * p.den_1 - a * p.den_u
         w = p.num_u * p.den_1 - p.num_1 * p.den_u
-        if w == 0.0:
-            value = np.full(den.shape, p._constant_value())
-            derivatives = [np.zeros(den.shape) for _ in range(order)]
-        else:
-            value = num / den
-            den2 = den * den
-            derivatives = [
-                e * (p.rate * w) / den2,
-                e * (p.rate * p.rate * w) * inner / (den2 * den),
-            ][:order]
+        value = num / den
+        den2 = den * den
+        derivatives = [
+            e * (p.rate * w) / den2,
+            e * (p.rate * p.rate * w) * inner / (den2 * den),
+        ][:order]
     return [arr.reshape(x.shape) for arr in (value, *derivatives, den)]
 
 
@@ -225,14 +229,11 @@ _B = kinks._BLOCK
     xi0=st.floats(-2.0, 2.0),
     n=st.sampled_from((0, 1, _B - 1, _B, _B + 1, 3 * _B + 5)),
     order=st.sampled_from((0, 1, 2)),
-    constant=st.booleans(),
     two_d=st.booleans(),
 )
-def test_kernel_blocks_match_one_pass(coefs, rate, xi0, n, order, constant, two_d):
+def test_kernel_blocks_match_one_pass(coefs, rate, xi0, n, order, two_d):
     num_u, num_1, den_u, den_1 = coefs
-    assume(den_u != 0.0 or den_1 != 0.0)
-    if constant:
-        num_u, num_1 = 2.0 * den_u, 2.0 * den_1
+    assume(_is_kink(num_u, num_1, den_u, den_1, rate))
     p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
     # spans the pole region and far tails on either side
     xi = np.linspace(-50.0, 50.0, n)
@@ -266,7 +267,7 @@ def test_den_at_matches_kernel_bits(coefs, rate, xi0, widths):
     # z = +-0 at xi0 (the sign of rate picks which), the far tails at
     # +-800 widths, the pole itself and random points around xi0
     num_u, num_1, den_u, den_1 = coefs
-    assume(den_u != 0.0 or den_1 != 0.0)
+    assume(_is_kink(num_u, num_1, den_u, den_1, rate))
     p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
     points = [xi0, xi0 + 800.0 / rate, xi0 - 800.0 / rate, *p.pole_xis()]
     points += [xi0 + t / abs(rate) for t in widths]
@@ -517,12 +518,11 @@ def test_lambda_constructors_never_return_a_constant(a1, b1, t, case, branch, va
         lam = bound
         for _ in range(abs(ulps)):
             lam = math.nextafter(lam, math.copysign(math.inf, ulps))
+        # a profile that builds is a kink by construction
         try:
-            sol = build(lam)
+            build(lam)
         except ValueError as exc:
             assert "constant" in str(exc)
-        else:
-            assert not sol.profile._is_constant()
 
 
 def test_zero_field_variant_validation():
@@ -720,6 +720,16 @@ def test_catalogue_coefficients_reach_zero_field_members():
             assert (sol.params.a1, sol.params.b1) == (2.0, 0.5)
         else:
             assert sol == unit
+
+
+@settings(deadline=None, max_examples=100)
+@given(a1=log_uniform(-6.0, 6.0).map(abs), b1=log_uniform(-6.0, 6.0).map(abs))
+def test_catalogue_builds_at_any_scale(a1, b1):
+    # every member is a kink: none is refused as a constant at any scale
+    members = catalogue(a1, b1)
+    assert len(members) == 37
+    for label, sol in members:
+        assert sol.left_limit != sol.right_limit, label
 
 
 def test_catalogue_rejects_unknown_family_and_bad_coefficients():

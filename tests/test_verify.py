@@ -30,7 +30,7 @@ from glkinks.verify import (
 )
 from glkinks.verify import _BLOWUP, _rk4_span
 
-from conftest import rk4_sup
+from conftest import log_uniform, rk4_sup
 
 
 def test_verification_grid_avoids_poles():
@@ -86,6 +86,27 @@ def test_residual_grid_forms():
     assert from_array.max_abs_residual == pytest.approx(
         from_tuple.max_abs_residual, rel=1e-12, abs=1e-18
     )
+
+
+@settings(deadline=None, max_examples=25)
+@given(a1=log_uniform(-6.0, 6.0).map(abs), b1=log_uniform(-6.0, 6.0).map(abs))
+def test_relative_residual_and_limits_at_any_scale(a1, b1):
+    # the members built at (a1, b1): the defect relative to the largest
+    # term stays at rounding level (1.3e-15 at most in 300 seeded draws),
+    # under verify's 1e-12 gate, and 40 widths out the profile sits on its
+    # limits
+    members = catalogue(a1, b1, "undriven") + catalogue(a1, b1, "lambda-zero-field")
+    for label, sol in members:
+        grid = verification_grid(sol)
+        big = float(np.max(np.abs(sol.profile.value(grid))))
+        scale = max(b1 * big**3, a1 * big)
+        assert residual(sol, grid=grid).max_abs_residual / scale < 1e-13, label
+        w = 1.0 / sol.width_inverse
+        ends = sol.profile.value(np.array([sol.xi0 - 40.0 * w, sol.xi0 + 40.0 * w]))
+        level = max(abs(sol.left_limit), abs(sol.right_limit))
+        np.testing.assert_allclose(
+            ends, [sol.left_limit, sol.right_limit], rtol=0, atol=1e-12 * level
+        )
 
 
 def test_residual_empty_grid():
