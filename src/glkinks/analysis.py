@@ -12,8 +12,8 @@ The curve obeys the delay law
 
 where alpha is the rate of the family's "+" branch (r/sqrt(2) for a
 driven family) and lam_b the window bound (LambdaDomain.bound_value).  It
-follows from the midpoint root u* of the Moebius profile, for example
-u* = 1/2 - sqrt(b1)/(4*lam*r) on the driven "+" branch.  The delay
+holds by construction: a lambda member is its particular kink shifted by
+log(1 - lam_b/lam)/alpha (kinks._lambda_profile).  The delay
 diverges logarithmically as lambda approaches the window edge from
 outside, decays like -lam_b/(alpha*lam) as lambda -> +-inf, and there is
 no crossing where 1 - lam_b/lam <= 0.  The zero-field "second" families

@@ -529,13 +529,15 @@ _COMMANDS = {
 }
 
 
-def _merge_grid_flag(argv: list[str]) -> list[str]:
-    # "--grid -10:10:5" confuses argparse (leading dash); fold into one token
+def _merge_flag_values(argv: list[str]) -> list[str]:
+    # argparse takes "-10:10:5" or "-5e-1" after a flag for an option, not a
+    # value; every flag in _FLAGS takes a value, so fold "--flag value" into
+    # one "--flag=value" token
     out = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--grid" and i + 1 < len(argv):
-            out.append(f"--grid={argv[i + 1]}")
+        if argv[i] in _FLAGS and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:
             out.append(argv[i])
@@ -547,7 +549,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
-    args = parser.parse_args(_merge_grid_flag(list(argv)))
+    args = parser.parse_args(_merge_flag_values(list(argv)))
     try:
         return args.func(args)
     except (NonPositiveCoefficient, ComplexDelta, ValueError, OSError) as exc:

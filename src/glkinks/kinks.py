@@ -22,9 +22,13 @@ The families are
     (undriven_solution),
   * the constant-drive kinks of both factorization cases and both front
     signs (driven_solution),
-  * the lambda-indexed generalizations of all of the above, where lambda
-    is the free constant of the general Riccati solution
-    (lambda_zero_field_solution, lambda_driven_solution),
+  * the lambda-indexed generalizations of the basic and constant-drive
+    kinks, where lambda is the free constant of the general Riccati
+    solution (lambda_zero_field_solution, lambda_driven_solution).  Each
+    member is its particular kink with one coefficient pair scaled by
+    g = 1 - lam_b/lam, lam_b the family's window bound: the kink shifted
+    by log|g|/alpha, or for g < 0 its partner with a pole, between the
+    same two levels (_lambda_profile),
   * the general Riccati solution through any initial value
     (general_riccati): one more Moebius-exponential profile (a rational
     function when c2 == 0), built from the equation's c1, c2 rather than
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularPoint
+from .factorization import _Y_PARTICULAR, montroll_roots
 from .figures import FIGURES
 from .model import (
     SQRT2,
@@ -66,14 +71,17 @@ SINGULAR_TOL = 1e-12
 # pass.
 _BLOCK = 16_384
 
-# Friction sign attached to each basic double-well kink index, recovered
-# empirically from residuals (the closed forms do not advertise it); the
-# recovery is rerun by tests/test_kinks.py.
-UNDRIVEN_RHO_SIGNS = {1: 1, 2: -1, 3: -1, 4: 1}
+# Basic kink index of each undriven factor pair ("first+" -> 1, ...), and
+# the friction sign of each index: that of the pair whose particular kink it is
+_BASIC_KINK = {
+    p.removeprefix("undriven-"): int(k.removeprefix("undriven-"))
+    for p, k in _Y_PARTICULAR.items() if p.startswith("undriven-")
+}
+UNDRIVEN_RHO_SIGNS = {i: 1 if pair.endswith("+") else -1 for pair, i in _BASIC_KINK.items()}
 
-# Sign of the square-root term in the basic-kink denominators selected by
-# each lambda-family variant tag.
-VARIANT_SIGNS = {"first": -1.0, "second": 1.0}
+# lambda_zero_field_solution's variant -> the factor_undriven variant whose
+# particular kink it is built on (the map is tabled in its docstring)
+_OTHER_VARIANT = {"first": "second", "second": "first"}
 
 
 class ProfilePass:
@@ -345,8 +353,6 @@ def montroll_solution(a: float, b: float, xi0: float = 0.0) -> KinkSolution:
     a and b must be two distinct roots of psi^3 - psi; the third root
     d = -(a + b) fixes the friction to (a + b - 2*d)/sqrt(2) = 3*(a+b)/sqrt(2).
     """
-    from .factorization import montroll_roots
-
     alpha, valid = montroll_roots(a, b, -(a + b))
     if not valid or a == b:
         raise ValueError(f"(a, b) = ({a}, {b}) are not two distinct roots of psi^3 - psi")
@@ -357,29 +363,43 @@ def montroll_solution(a: float, b: float, xi0: float = 0.0) -> KinkSolution:
     return KinkSolution("montroll", ModelParams(1.0, 1.0, rho), None, None, profile)
 
 
+def _basic_kink(params: ModelParams, index: int) -> tuple[ModelParams, tuple[float, ...]]:
+    """A basic kink's equation, its rho forced, and (n_u, n_1, d_u, d_1, rate)."""
+    sa = math.sqrt(params.a1)
+    alpha = sa / SQRT2
+    rate = alpha if index in (1, 4) else -alpha
+    den_1 = math.sqrt(params.b1) if index in (1, 2) else -math.sqrt(params.b1)
+    rho = undriven_rho(params.a1, UNDRIVEN_RHO_SIGNS[index])
+    return ModelParams(params.a1, params.b1, rho), (0.0, sa, 1.0, den_1, rate)
+
+
 def undriven_solution(params: ModelParams, index: int, xi0: float = 0.0) -> KinkSolution:
     """One of the four basic double-well kinks.
 
     Indices 1 and 2 are the smooth mirror pair running between
     sqrt(a1/b1) and 0; indices 3 and 4 run between -sqrt(a1/b1) and 0 and
     carry one real pole each.  The friction value is forced by the
-    factorization (params.rho is not consulted); its sign per index is the
-    recorded table UNDRIVEN_RHO_SIGNS.
+    factorization (params.rho is not consulted); its sign per index is
+    UNDRIVEN_RHO_SIGNS.
     """
     validate_params(params)
     if index not in (1, 2, 3, 4):
         raise ValueError(f"index must be 1..4, got {index}")
-    sa = math.sqrt(params.a1)
-    sb = math.sqrt(params.b1)
-    alpha = sa / SQRT2
-    rate = alpha if index in (1, 4) else -alpha
-    den_1 = sb if index in (1, 2) else -sb
-    sign = UNDRIVEN_RHO_SIGNS[index]
-    rho = undriven_rho(params.a1, sign)
-    profile = MobiusExpProfile(num_u=0.0, num_1=sa, den_u=1.0, den_1=den_1, rate=rate, xi0=xi0)
-    return KinkSolution(
-        f"undriven-{index}", ModelParams(params.a1, params.b1, rho), None, None, profile
+    forced, coefficients = _basic_kink(params, index)
+    profile = MobiusExpProfile(*coefficients, xi0)
+    return KinkSolution(f"undriven-{index}", forced, None, None, profile)
+
+
+def _driven_kink(setup: DrivenSetup, case: str, sign: int) -> tuple[ModelParams, tuple[float, ...]]:
+    """A driven kink's equation, its rho forced, and (n_u, n_1, d_u, d_1, rate)."""
+    r = setup.rate(case)
+    eps = setup.epsilon
+    forced = ModelParams(
+        setup.a1, setup.b1, setup.rho(case, sign), gamma1=1.0, eta=setup.eta_times_gamma1
     )
+    # (2r/sqrt(b1))/(2 + u), downshifted by epsilon
+    num_1 = 2.0 * r / math.sqrt(setup.b1) - eps * 2.0
+    return forced, (0.0 - eps, num_1, 1.0, 2.0, -sign * r / SQRT2)
 
 
 def driven_solution(setup: DrivenSetup, case: str, sign, xi0: float = 0.0) -> KinkSolution:
@@ -391,27 +411,9 @@ def driven_solution(setup: DrivenSetup, case: str, sign, xi0: float = 0.0) -> Ki
     """
     c = _as_case(case)
     s = _as_sign(sign)
-    r = setup.rate(c)
-    sb = math.sqrt(setup.b1)
-    eps = setup.epsilon
-    rate = -s * r / SQRT2
-    rho = setup.rho(c, s)
-    profile = MobiusExpProfile(
-        num_u=0.0 - eps * 1.0,
-        num_1=2.0 * r / sb - eps * 2.0,
-        den_u=1.0,
-        den_1=2.0,
-        rate=rate,
-        xi0=xi0,
-    )
-    tag = "+" if s > 0 else "-"
-    return KinkSolution(
-        f"driven-{c}{tag}",
-        ModelParams(setup.a1, setup.b1, rho, gamma1=1.0, eta=setup.eta_times_gamma1),
-        setup,
-        None,
-        profile,
-    )
+    forced, coefficients = _driven_kink(setup, c, s)
+    profile = MobiusExpProfile(*coefficients, xi0)
+    return KinkSolution(f"driven-{c}{'+' if s > 0 else '-'}", forced, setup, None, profile)
 
 
 def _check_lambda(lam: float, bound: float):
@@ -423,48 +425,54 @@ def _check_lambda(lam: float, bound: float):
         raise ValueError(f"lambda = {lam!r} is the window bound: the profile is a constant")
 
 
+def _lambda_profile(coefficients, alpha: float, g: float, xi0: float) -> MobiusExpProfile:
+    """A lambda member: its particular kink with one coefficient pair scaled by g.
+
+    g = 1 - lam_b/lam.  The member is the particular kink shifted by
+    log|g|/alpha (alpha, the rate of the family's "+" member), or for g < 0
+    its partner, which has the same levels and a pole.  Without the log the
+    shift scales by g the pair that dominates as alpha*xi -> -inf; the other
+    pair, and the level it gives, stay the particular's.
+    """
+    num_u, num_1, den_u, den_1, rate = coefficients
+    if rate / alpha > 0.0:
+        num_1, den_1 = g * num_1, g * den_1
+    else:
+        num_u, den_u = g * num_u, g * den_u
+    return MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
+
+
 def lambda_zero_field_solution(
     params: ModelParams, branch, variant: str, lam: float, xi0: float = 0.0
 ) -> KinkSolution:
     """Zero-field lambda kink: the general Riccati solution of one basic kink.
 
     branch "+" carries the rising exponential (rate +sqrt(a1)/sqrt(2)) and
-    the friction of that sign; branch "-" the mirrored one.  variant
-    "first" selects the families that approach the poled kinks as
-    lambda -> inf, "second" the ones approaching the smooth kinks.  After
-    clearing the shared factor between the two denominators the profile is
-    again a single Moebius-exponential form.  The profile is a constant at
-    lambda = 0 and at lambda*sqrt(a1) = -1 (branch "+") or +1 (branch
-    "-"); ValueError is raised there and for a non-finite lambda.
+    the friction of that sign; branch "-" the mirrored one.  Each variant
+    is built on the particular kink (_Y_PARTICULAR) of factor_undriven's
+    other variant; this is the one place the map is written:
+
+        variant  particular kink   factor_undriven pair   levels
+        first+   undriven-4        second, +              0, -sqrt(a1/b1)
+        first-   undriven-3        second, -              0, -sqrt(a1/b1)
+        second+  undriven-1        first, +               0, +sqrt(a1/b1)
+        second-  undriven-2        first, -               0, +sqrt(a1/b1)
+
+    lam_b is -1/sqrt(a1) on "+" and +1/sqrt(a1) on "-".  The profile is a
+    constant at lambda = 0 and at lam_b; ValueError is raised there and for
+    a non-finite lambda.
     """
     validate_params(params)
-    if variant not in VARIANT_SIGNS:
+    if variant not in _OTHER_VARIANT:
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
-    bsign = _as_sign(branch)
-    m = VARIANT_SIGNS[variant]
+    s = _as_sign(branch)
     sa = math.sqrt(params.a1)
-    _check_lambda(lam, -bsign / sa)
-    sb = math.sqrt(params.b1)
-    alpha = sa / SQRT2
-    g = lam * sa
-    if bsign > 0:
-        rate = alpha
-        num = (0.0, sa * (g + 1.0))
-        den = (g, m * sb * (g + 1.0))
-    else:
-        rate = -alpha
-        num = (0.0, lam * params.a1)
-        den = (g - 1.0, m * sb * g)
-    rho = undriven_rho(params.a1, bsign)
-    profile = MobiusExpProfile(num[0], num[1], den[0], den[1], rate, xi0)
-    tag = "+" if bsign > 0 else "-"
-    return KinkSolution(
-        f"lambda-zero-field-{variant}{tag}",
-        ModelParams(params.a1, params.b1, rho),
-        None,
-        lam,
-        profile,
-    )
+    _check_lambda(lam, -s / sa)
+    tag = "+" if s > 0 else "-"
+    forced, coefficients = _basic_kink(params, _BASIC_KINK[_OTHER_VARIANT[variant] + tag])
+    t = lam * sa
+    profile = _lambda_profile(coefficients, sa / SQRT2, (t + s) / t, xi0)
+    return KinkSolution(f"lambda-zero-field-{variant}{tag}", forced, None, lam, profile)
 
 
 def lambda_driven_solution(
@@ -474,38 +482,21 @@ def lambda_driven_solution(
 
     The profile has one real pole exactly when lambda falls in the
     family's forbidden window (between 0 and the signed bound
-    sign(branch)*sqrt(b1)/(2r)); outside it the kink is smooth and
+    lam_b = sign(branch)*sqrt(b1)/(2r)); outside it the kink is smooth and
     approaches the particular constant-drive kink as lambda -> inf.  At
     either end of the window, lambda = 0 or the bound, the profile is a
     constant; ValueError is raised there and for a non-finite lambda.
     """
     c = _as_case(case)
     s = _as_sign(branch)
-    r = setup.rate(c)
-    sb = math.sqrt(setup.b1)
     _check_lambda(lam, setup.lambda_bound(c, s))
-    eps = setup.epsilon
-    alpha_r = r / SQRT2
-    if s > 0:
-        rate = alpha_r
-        num = (4.0 * lam * r * r / sb, 0.0)
-        den = (4.0 * lam * r, 2.0 * lam * r - sb)
-    else:
-        rate = -alpha_r
-        num = (r * (2.0 * lam * r + sb) / sb, 0.0)
-        den = (2.0 * lam * r + sb, lam * r)
-    rho = setup.rho(c, s)
-    profile = MobiusExpProfile(
-        num[0] - eps * den[0], num[1] - eps * den[1], den[0], den[1], rate, xi0
-    )
-    tag = "+" if s > 0 else "-"
-    return KinkSolution(
-        f"lambda-{c}{tag}",
-        ModelParams(setup.a1, setup.b1, rho, gamma1=1.0, eta=setup.eta_times_gamma1),
-        setup,
-        lam,
-        profile,
-    )
+    forced, coefficients = _driven_kink(setup, c, s)
+    r = setup.rate(c)
+    # g = 1 - lam_b/lam as (t - s*sqrt(b1))/t: through the rounded lam_b it
+    # errs 6.9e-14 of the levels at figure 4's lam = 0.53, against 1.5e-15
+    t = 2.0 * lam * r
+    profile = _lambda_profile(coefficients, r / SQRT2, (t - s * math.sqrt(setup.b1)) / t, xi0)
+    return KinkSolution(f"lambda-{c}{'+' if s > 0 else '-'}", forced, setup, lam, profile)
 
 
 _CATALOGUE_FAMILIES = ("montroll", "undriven", "lambda-zero-field", "driven", "lambda-driven")
@@ -617,10 +608,11 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
             )
             vals = g / den
     elif c2 * g * den_1 == 0.0:
-        # the constant solutions 0 (g == 0) and -c2/c1 (den_1 == 0) are no kink
-        if g == 0.0 and den_1 == 0.0:
-            raise ValueError("denominator is identically zero")
-        vals = np.full(x.shape, 0.0 / den_1 if den_1 != 0.0 else c2 * g / (-c1 * g))
+        # the constant solutions 0 (g == 0) and -c2/c1 (den_1 == 0) are no
+        # kink; g is tested first, since den_1 = c2*lam can underflow to 0
+        # with it.  copysign(0.0, den_1) is 0.0/den_1 where den_1 != 0.
+        fixed_point = g != 0.0 and den_1 == 0.0
+        vals = np.full(x.shape, c2 * g / (-c1 * g) if fixed_point else math.copysign(0.0, den_1))
     else:
         profile = MobiusExpProfile(c2 * g, 0.0, -c1 * g, den_1, c2, xi0)
         _raise_where(profile.is_singular(x), x, "lambda denominator vanishes")

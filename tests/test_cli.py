@@ -91,6 +91,47 @@ def test_flag_not_read_is_rejected(capsys, command, flag):
     _assert_argparse_error(capsys, argv, f"unrecognized arguments: {flag}")
 
 
+# a command around each float flag, and a value with a minus sign and a
+# negative exponent, which argparse takes for an option unless it is joined
+# to the flag with "="
+_NEGATIVE_EXPONENT = {
+    "--a1": (["eval", "--b1", "1", "--index", "1", "--grid", "0:1:3"], "-5e-1"),
+    "--b1": (["eval", "--a1", "1", "--index", "1", "--grid", "0:1:3"], "-5e-1"),
+    "--epsilon": (["eval", "--a1", "1", "--b1", "1", "--case", "I", "--branch", "-",
+                   "--grid", "0:1:3"], "-5e-1"),
+    "--lambda": (["eval", "--a1", "1", "--b1", "1", "--branch", "+", "--variant", "first",
+                  "--grid", "0:1:3"], "-5e-1"),
+    "--xi0": (["eval", "--a1", "1", "--b1", "1", "--index", "1", "--grid", "0:1:3"], "-1e-3"),
+    "--montroll-a": (["eval", "--montroll-b", "0", "--grid", "0:1:3"], "-1e0"),
+    "--montroll-b": (["eval", "--montroll-a", "0", "--grid", "0:1:3"], "-1e0"),
+    "--perturb-rho": (["verify", "--family", "undriven"], "-1e-3"),
+}
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main, argparse's own exits included."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_every_float_flag_is_covered():
+    floats = {f for f, spec in cli._FLAGS.items() if spec.get("type") is cli._finite_float}
+    assert floats == set(_NEGATIVE_EXPONENT)
+
+
+@pytest.mark.parametrize("flag", sorted(_NEGATIVE_EXPONENT))
+def test_negative_exponent_value_after_a_space(capsys, flag):
+    argv, value = _NEGATIVE_EXPONENT[flag]
+    spaced = _outcome(capsys, [*argv, flag, value])
+    joined = _outcome(capsys, [*argv, f"{flag}={value}"])
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--a1", "2"], ["--xi0", "0.3"], ["--a1", "2", "--b1", "5", "--epsilon", "0.1"]],

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import glkinks
 from glkinks import analysis, kinks
 from glkinks.errors import NonPositiveCoefficient, NonPositiveRate, SingularPoint
+from glkinks.figures import FIGURES
 from glkinks.kinks import (
     SINGULAR_TOL,
     UNDRIVEN_RHO_SIGNS,
@@ -525,6 +526,69 @@ def test_lambda_constructors_never_return_a_constant(a1, b1, t, case, branch, va
             assert "constant" in str(exc)
 
 
+# the basic kink each zero-field lambda variant is built on
+_ZERO_FIELD_PARTICULAR = {("first", "+"): 4, ("first", "-"): 3, ("second", "+"): 1,
+                          ("second", "-"): 2}
+
+
+def _assert_levels_of_particular(member, particular, alpha):
+    """Lambda moves neither level: both are the particular kink's.
+
+    The member scales the coefficient pair that dominates as alpha*xi ->
+    -inf by g, so the level there is (g*n)/(g*d): three roundings against
+    the particular's one, within 4 ulps of n/d.  The other level is the
+    particular's bit for bit.
+    """
+    exact, scaled = ("right_limit", "left_limit") if alpha > 0.0 else ("left_limit", "right_limit")
+    assert getattr(member, exact).hex() == getattr(particular, exact).hex()
+    got, want = getattr(member, scaled), getattr(particular, scaled)
+    assert abs(got - want) <= 4.0 * math.ulp(want)
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_lambda_members_keep_the_particular_levels_on_figure_lambdas(fig_id):
+    spec = FIGURES[fig_id]
+    setup = driven_setup(spec.a1, spec.b1, spec.epsilon)
+    particular = driven_solution(setup, spec.case, spec.branch, spec.xi0)
+    alpha = setup.rate(spec.case) / SQRT2
+    for lam in spec.lambdas:
+        member = lambda_driven_solution(setup, spec.case, spec.branch, float(lam), spec.xi0)
+        _assert_levels_of_particular(member, particular, alpha)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    a1=log_uniform(-6.0, 6.0).map(abs),
+    b1=log_uniform(-6.0, 6.0).map(abs),
+    t=st.floats(0.05, 0.95),
+    case=st.sampled_from(("I", "II")),
+    branch=st.sampled_from(("+", "-")),
+    variant=st.sampled_from(("first", "second")),
+    # lambda / lam_b: inside the window (0, 1) and on either side of it
+    k=st.floats(0.01, 0.99) | st.floats(1.01, 100.0) | st.floats(-100.0, -0.01),
+)
+def test_lambda_members_keep_the_particular_levels(a1, b1, t, case, branch, variant, k):
+    from glkinks.model import epsilon_admissible_interval
+
+    params = ModelParams(a1, b1)
+    s = 1.0 if branch == "+" else -1.0
+    sa = math.sqrt(a1)
+    member = lambda_zero_field_solution(params, branch, variant, -s / sa * k)
+    particular = undriven_solution(params, _ZERO_FIELD_PARTICULAR[(variant, branch)])
+    assert member.forced_rho == particular.forced_rho
+    _assert_levels_of_particular(member, particular, sa / SQRT2)
+    window = epsilon_admissible_interval(a1, b1, case, branch)
+    setup = driven_setup(a1, b1, window.lower + t * (window.upper - window.lower))
+    try:
+        lam_b = setup.lambda_bound(case, branch)
+    except NonPositiveRate:
+        return
+    member = lambda_driven_solution(setup, case, branch, lam_b * k)
+    particular = driven_solution(setup, case, branch)
+    assert member.forced_rho == particular.forced_rho
+    _assert_levels_of_particular(member, particular, setup.rate(case) / SQRT2)
+
+
 def test_zero_field_variant_validation():
     with pytest.raises(ValueError):
         lambda_zero_field_solution(ModelParams(1.0, 1.0), "+", "third", 1.0)
@@ -555,6 +619,12 @@ def test_general_riccati_value_at_center():
     ]:
         y0 = general_riccati(c1, c2, v0, lam, 0.0, 0.0)
         assert y0 == pytest.approx(v0 + 1.0 / lam, rel=1e-13)
+
+
+def test_general_riccati_zero_solution_with_underflowing_denominator():
+    # g = lam*y1 + 1 == 0, so y(xi0) = 0 and y is 0 everywhere, while
+    # den_1 = c1*g + c2*lam = 2**-1200 underflows to 0 as well
+    assert general_riccati(1.0, 2.0**-600, -2.0**600, 2.0**-600, 0.0, 0.0) == 0.0
 
 
 def test_general_riccati_scalar_and_array_forms():
