@@ -22,14 +22,13 @@ obey the same law with alpha = sqrt(a1/2) and lam_b = -1/sqrt(a1) on "+",
 delay_curve against it.
 
 singularity_scan is the numeric pole oracle: it locates poles without the
-closed form, to cross-check the ones a constructor reports.  It scans the
-denominator for sign changes in one kernel pass over a dense grid, then
-bisects each bracket to an absolute 1e-10.  The bisection evaluates one
-point per step with MobiusExpProfile.den_at, the kernel's denominator at
-one float in plain float arithmetic: on a 2-vCPU Xeon a kernel call costs
-some 25 us whatever its size, most of it numpy's per-call overhead, and
-den_at about 1 us.  den_at gives the kernel's bits, so the roots are those a bisection
-through kernel would find.
+closed form, to cross-check the ones a constructor reports.  A profile's
+denominator is d_u*u + d_1, affine in u = exp(rate*(xi - xi0)), and u is
+monotone in xi: it changes sign at most once on any range.  The scan
+therefore evaluates it at the two ends of the range and, if their signs
+differ, bisects that one bracket to an absolute 1e-10.  Every evaluation
+is MobiusExpProfile.den_at, the kernel's denominator at one float, bit for
+bit, in plain float arithmetic: no array is built.
 """
 
 from __future__ import annotations
@@ -38,13 +37,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .errors import NoCrossing
 from .kinks import KinkSolution
 from .model import AdmissibleRange, DrivenSetup, _as_case, _as_sign
 
-_SCAN_POINTS = 10_001
 _BISECT_TOL = 1e-10
 _MAX_HALVINGS = 200
 
@@ -87,16 +83,20 @@ def _default_range(solution: KinkSolution) -> tuple[float, float]:
     return (solution.xi0 - 40.0 * w, solution.xi0 + 40.0 * w)
 
 
-def _bisect(f, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
+def _bisect(
+    f, lo: float, hi: float, tol: float = _BISECT_TOL, flo: float | None = None
+) -> float:
     """Sign change of the scalar function f in [lo, hi] by bisection.
 
     Stops on an exact zero of f at a midpoint, on a bracket narrower than
     tol or after _MAX_HALVINGS halvings, and returns the last midpoint; f
-    is not evaluated when [lo, hi] is already narrower than tol.
+    is not evaluated when [lo, hi] is already narrower than tol.  flo is
+    f(lo) when the caller already has it, so that lo is not evaluated twice.
     """
     if hi - lo < tol:
         return 0.5 * (lo + hi)
-    flo = f(lo)
+    if flo is None:
+        flo = f(lo)
     for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if hi - lo < tol:
@@ -111,37 +111,31 @@ def _bisect(f, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sign_change_roots(f, f_at, lo, hi) -> list[float]:
-    """Exact zeros plus bisected flips of f on _SCAN_POINTS points of [lo, hi].
-
-    f maps a 1-D float array to an array of the same shape and scans the
-    grid; f_at is the same function at one float and bisects the flips.
-    """
-    xi = np.linspace(float(lo), float(hi), _SCAN_POINTS)
-    sgn = np.sign(f(xi))
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]
-    exact = np.nonzero(sgn == 0.0)[0]
-    roots = [float(xi[i]) for i in exact]
-    roots += [_bisect(f_at, float(xi[i]), float(xi[i + 1])) for i in flips]
-    return roots
-
-
 def singularity_scan(solution: KinkSolution, xi_range=None) -> tuple[float, ...]:
-    """Locate profile poles by denominator sign changes, without the closed form.
+    """Locate the profile's pole by bisection on its denominator, without the closed form.
 
-    Scans a dense grid over xi_range (default +-40 widths around xi0) and
-    refines each sign change by bisection to 1e-10.  Cross-checks the
-    singularities the constructor reported.  The denominator is the one
-    the profile evaluates with, in its overflow-free scaling: off by a
-    positive factor, so its sign changes are the true ones.  Raises
-    ValueError unless xi_range is a finite (lo, hi) with lo < hi.
+    The denominator d_u*u + d_1 is affine in u, which is monotone in xi, so
+    it changes sign at most once on xi_range (default +-40 widths around
+    xi0): an exact zero at an end is the root, equal signs at both ends
+    mean no pole, and otherwise one bisection refines the bracket to
+    1e-10.  Cross-checks the singularities the constructor reported.  The
+    denominator is the one the profile evaluates with, in its overflow-free
+    scaling: off by a positive factor, so its sign change is the true one.
+    Raises ValueError unless xi_range is a finite (lo, hi) with lo < hi.
     """
     lo, hi = xi_range if xi_range is not None else _default_range(solution)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"xi_range must be finite with lo < hi, got ({lo}, {hi})")
-    profile = solution.profile
-    roots = _sign_change_roots(lambda x: profile.kernel(x).den, profile.den_at, lo, hi)
-    return tuple(sorted(roots))
+    lo, hi = float(lo), float(hi)
+    den_at = solution.profile.den_at
+    d_lo, d_hi = den_at(lo), den_at(hi)
+    if d_lo == 0.0:
+        return (lo,)
+    if d_hi == 0.0:
+        return (hi,)
+    if (d_lo < 0.0) == (d_hi < 0.0):
+        return ()
+    return (_bisect(den_at, lo, hi, flo=d_lo),)
 
 
 def switching_midpoint(solution: KinkSolution) -> float:

@@ -66,9 +66,8 @@ from .model import (
 # (1/|rate|) of the profile's pole.
 SINGULAR_TOL = 1e-12
 
-# Points per kernel pass: 128 kB per float array.  At least the 10,001
-# points of a pole scan (analysis._SCAN_POINTS), so that a scan stays one
-# pass.
+# Points per kernel pass: 128 kB per float array, so that a pass's
+# temporaries stay in cache and a large grid costs few page faults.
 _BLOCK = 16_384
 
 # Basic kink index of each undriven factor pair ("first+" -> 1, ...), and

@@ -242,22 +242,44 @@ def epsilon_from_field(
     Returns up to three (epsilon, admissible) pairs sorted by epsilon, where
     admissible means the root keeps delta_eps >= 0.  gamma1 may be any
     nonzero real; it only scales eta.
+
+    With M = sqrt(a1/b1) and eps = M*e the cubic is e^3 - e + d = 0, where
+    d = gamma1*eta/(a1*M), so the roots depend on d alone.  The sign of the
+    discriminant 4 - 27*d^2 counts them: three distinct real roots where it
+    is positive, a double root and a simple one where it is zero, and one
+    real root where it is negative.  Three roots come from the
+    trigonometric form, one from Cardano's formula.
     """
     validate_params(ModelParams(a1, b1))
     if gamma1 == 0.0:
         raise ValueError("gamma1 must be nonzero to recover eta from the drive")
-    drive = gamma1 * eta
-    # b1*eps^3 - a1*eps + drive = 0
-    roots = np.roots([b1, 0.0, -a1, drive])
-    scale = max(1.0, abs(a1), abs(b1), abs(drive))
-    out = []
-    for z in roots:
-        if abs(z.imag) <= 1e-9 * scale:
-            eps = float(z.real)
-            admissible = 4.0 * a1 - 3.0 * b1 * eps * eps >= -_DELTA_CLAMP * (1.0 + 4.0 * a1)
-            out.append((eps, admissible))
-    out.sort(key=lambda t: t[0])
-    return tuple(out)
+    m = math.sqrt(a1 / b1)
+    d = gamma1 * eta / a1 / m
+    if not math.isfinite(d):
+        raise ValueError(f"drive/(a1*sqrt(a1/b1)) must be finite, got {d}")
+    disc = 4.0 - 27.0 * d * d
+    if disc >= 0.0:
+        # 2/sqrt(3) * cos(theta - 2*pi*k/3); the clip absorbs rounding at the fold
+        theta = math.acos(min(1.0, max(-1.0, -1.5 * math.sqrt(3.0) * d))) / 3.0
+        roots = sorted(
+            2.0 / math.sqrt(3.0) * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)
+        )
+        # the middle root from the product of the roots, -d, and the outer
+        # two, whose product is at most -2/3: exact to rounding relative to
+        # itself, where the cosine's is relative to 1 (a weak field, d -> 0)
+        roots[1] = -d / (roots[0] * roots[2])
+        if disc == 0.0:
+            # the two copies of the double root are neighbours in sorted
+            # order, so the middle root is always one of them
+            del roots[1]
+    else:
+        # Cardano with the cube root taken on the side that does not cancel:
+        # e = c + 1/(3c), c = -sign(d)*cbrt(|d|/2*(1 + sqrt(1 - 4/(27*d^2))))
+        c = math.copysign(
+            np.cbrt(0.5 * abs(d) * (1.0 + math.sqrt(1.0 - 4.0 / (27.0 * d * d)))), -d
+        )
+        roots = [float(c + 1.0 / (3.0 * c))]
+    return tuple((m * e, 3.0 * e * e <= 4.0 * (1.0 + _DELTA_CLAMP)) for e in roots)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ same for the first-order equation y' = c1*y^2 + c2*y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +165,10 @@ def integrate_second_order(
     xi_span may run in either direction; the stored step is signed
     accordingly.  Raises NonFinite (carrying the partial trajectory) if the
     state blows up, which happens quickly when integrating against the
-    stable direction of a kink tail.
+    stable direction of a kink tail.  Blowing up means |psi| or |psi'|
+    beyond _BLOWUP*max(M, sqrt(a1)*M), M = sqrt(a1/b1): the bound is in the
+    equation's units, where a kink's levels are of order M and its slope of
+    order sqrt(a1)*M.
 
     The step is written out as straight-line float arithmetic, without a
     call per stage; -rho and h/2 are exact, so every stage rounds as
@@ -174,7 +178,9 @@ def integrate_second_order(
     a1, b1, drive = params.a1, params.b1, params.drive
     nrho = -params.rho
     hh = 0.5 * h
-    big, nbig = _BLOWUP, -_BLOWUP
+    m = math.sqrt(a1 / b1)
+    big = _BLOWUP * max(m, math.sqrt(a1) * m)
+    nbig = -big
     xs = lo + h * np.arange(n + 1)
     ys = np.empty(n + 1)
     vs = np.empty(n + 1)

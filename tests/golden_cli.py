@@ -100,6 +100,11 @@ ROSTER = [
     ("verify-a1-1e6-b1-1e-6", ["verify", "--a1", "1e6", "--b1", "1e-6"], "verify", 0),
     ("verify-perturbed-a1-1e-6-b1-1e6",
      ["verify", "--a1", "1e-6", "--b1", "1e6", "--perturb-rho", "0.001"], "verify", 1),
+    # the RK4 blow-up bound scales with the kink's levels and slope, so a
+    # kink whose slope is far above 1e12 integrates without blowing up
+    ("verify-a1-1e10-b1-1e-10", ["verify", "--a1", "1e10", "--b1", "1e-10"], "verify", 0),
+    ("verify-perturbed-a1-1e10-b1-1e-10",
+     ["verify", "--a1", "1e10", "--b1", "1e-10", "--perturb-rho", "0.001"], "verify", 1),
 ]
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from glkinks.analysis import (
     _bisect,
     _default_range,
-    _sign_change_roots,
     delay_curve,
     lambda_forbidden_interval,
     singularity_scan,
@@ -101,6 +100,35 @@ def test_forbidden_interval_degenerate_root():
     assert domain.bound_value == pytest.approx(0.5 / setup.r_plus, rel=1e-14)
 
 
+# ------------------------------------------------------ dense scan oracle
+
+_SCAN_POINTS = 10_001
+
+
+def _sign_change_roots(f, f_at, lo, hi):
+    """Exact zeros plus bisected flips of f on _SCAN_POINTS points of [lo, hi].
+
+    f maps a 1-D float array to an array of the same shape and scans the
+    grid; f_at is the same function at one float and bisects the flips.
+    Unlike singularity_scan it assumes nothing about how often f changes
+    sign, so it serves as the oracle for the scan and for the midpoint.
+    """
+    xi = np.linspace(float(lo), float(hi), _SCAN_POINTS)
+    sgn = np.sign(f(xi))
+    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]
+    exact = np.nonzero(sgn == 0.0)[0]
+    roots = [float(xi[i]) for i in exact]
+    roots += [_bisect(f_at, float(xi[i]), float(xi[i + 1])) for i in flips]
+    return roots
+
+
+def _dense_scan(solution, xi_range=None):
+    """Poles as sign changes of the kernel's denominator on a dense grid."""
+    lo, hi = xi_range if xi_range is not None else _default_range(solution)
+    p = solution.profile
+    return tuple(sorted(_sign_change_roots(lambda x: p.kernel(x).den, p.den_at, lo, hi)))
+
+
 def test_singularity_scan_matches_constructor_poles():
     params = ModelParams(1.0, 1.0)
     _, setup = _setup_for(1)
@@ -121,6 +149,20 @@ def test_singularity_scan_smooth_and_out_of_range():
     assert singularity_scan(undriven_solution(params, 1)) == ()
     poled = undriven_solution(params, 3)
     assert singularity_scan(poled, xi_range=(1.0, 5.0)) == ()
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_singularity_scan_exact_zero_at_an_end(end):
+    # (u + 1)/(1 - u) has its pole at u = 1, i.e. at xi0, where den_at is
+    # exactly 0.0: the end itself is the root.  A bisection from lo would
+    # stop short of it, and at hi the signs 0 and + would read as no pole.
+    xi_range = (-2.0, 3.0)
+    profile = MobiusExpProfile(1.0, 1.0, -1.0, 1.0, 1.5, xi_range[end])
+    sol = KinkSolution("pole-at-an-end", ModelParams(1.0, 1.0), None, None, profile)
+    assert profile.den_at(xi_range[end]) == 0.0
+    assert profile.pole_xis() == (xi_range[end],)
+    assert singularity_scan(sol, xi_range=xi_range) == (xi_range[end],)
+    assert _dense_scan(sol, xi_range) == (xi_range[end],)
 
 
 def test_singularity_scan_rejects_a_bad_range():
@@ -164,32 +206,61 @@ def _poled_member(kind, a1, b1, choice, t, xi0_widths):
         return None
 
 
+def _smooth_member(a1, b1, choice, t, xi0_widths):
+    """A kink without a real pole at (a1, b1), or None where it cannot be built.
+
+    choice 8 and 9 pick basic kink 1 or 2; below 8 it picks the case, the
+    branch and the side of a driven lambda kink outside its window: beyond
+    the bound by 10**t of it, or on the other side of 0 at 10**t times it.
+    """
+    params = ModelParams(a1, b1)
+    xi0 = xi0_widths * math.sqrt(2.0 / a1)
+    if choice >= 8:
+        return undriven_solution(params, choice - 7, xi0)
+    case, branch = ("I", "II")[choice % 2], "+-"[choice // 2 % 2]
+    window = epsilon_admissible_interval(a1, b1, case, branch)
+    setup = driven_setup(a1, b1, 0.5 * (window.lower + window.upper))
+    try:
+        bound = lambda_forbidden_interval(setup, case, branch).bound_value
+        lam = bound * (1.0 + 10.0**t) if choice // 4 else -bound * 10.0**t
+        return lambda_driven_solution(setup, case, branch, lam, xi0)
+    except (ValueError, NonPositiveRate):
+        return None
+
+
 @settings(deadline=None, max_examples=200)
 @given(
-    kind=st.sampled_from(["basic", "zero-field", "driven"]),
+    kind=st.sampled_from(["basic", "zero-field", "driven", "smooth"]),
     a1=st.floats(-6.0, 6.0).map(lambda t: 10.0**t),
     b1=st.floats(-6.0, 6.0).map(lambda t: 10.0**t),
-    choice=st.integers(0, 7),
+    choice=st.integers(0, 9),
     t=st.floats(-30.0, 30.0),
     xi0_widths=st.floats(-3.0, 3.0),
 )
 def test_singularity_scan_finds_the_closed_form_pole_at_any_scale(
     kind, a1, b1, choice, t, xi0_widths
 ):
-    sol = _poled_member(kind, a1, b1, choice, t, xi0_widths)
+    # the one bisection finds what a sign-change scan of the kernel's
+    # denominator on 10,001 points finds: the closed-form pole when it lies
+    # within 40 widths of xi0, and nothing otherwise
+    if kind == "smooth":
+        sol = _smooth_member(a1, b1, choice, t, xi0_widths)
+    else:
+        sol = _poled_member(kind, a1, b1, choice % 8, t, xi0_widths)
     assume(sol is not None)
-    found = singularity_scan(sol)
+    found, dense = singularity_scan(sol), _dense_scan(sol)
     poles = sol.profile.pole_xis()
     width = 1.0 / sol.width_inverse
     widths_out = abs(poles[0] - sol.xi0) / width if poles else math.inf
     assume(abs(widths_out - 40.0) > 1e-6)
     if widths_out > 40.0:
-        assert found == ()
+        assert found == dense == ()
         return
     # the bisection's 1e-10 plus a few roundings at the scale of the grid
     tol = 1e-10 + 8.0 * np.finfo(float).eps * max(abs(poles[0]), width)
-    assert len(found) == 1
-    assert abs(found[0] - poles[0]) <= tol, (found, poles, width)
+    assert len(found) == len(dense) == 1
+    errs = (abs(found[0] - poles[0]), abs(dense[0] - poles[0]), abs(found[0] - dense[0]))
+    assert max(errs) <= tol, (found, dense, poles, width)
 
 
 def test_switching_midpoint_basic_kink():
@@ -592,10 +663,24 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def den_at_calls(monkeypatch):
+    calls = []
+    den_at = MobiusExpProfile.den_at
+
+    def counted(self, x):
+        calls.append(x)
+        return den_at(self, x)
+
+    monkeypatch.setattr(MobiusExpProfile, "den_at", counted)
+    return calls
+
+
 @pytest.mark.parametrize("fig_id", sorted(FIGURES))
-def test_scans_make_few_kernel_calls(fig_id, kernel_calls):
-    # the midpoint is closed form; a pole scan is one dense kernel pass,
-    # and its bisection evaluates den_at, which makes no kernel call
+def test_scans_make_few_kernel_calls(fig_id, kernel_calls, den_at_calls):
+    # the midpoint is closed form; a pole scan evaluates den_at at the two
+    # ends of its range and at one midpoint per halving, and makes no
+    # kernel call
     spec, setup = _setup_for(fig_id)
     solutions = [driven_solution(setup, spec.case, spec.branch)] + [
         lambda_driven_solution(setup, spec.case, spec.branch, float(lam))
@@ -607,9 +692,11 @@ def test_scans_make_few_kernel_calls(fig_id, kernel_calls):
         assert len(kernel_calls) == 0
     bound = lambda_forbidden_interval(setup, spec.case, spec.branch).bound_value
     for lam in (0.1 * bound, 0.5 * bound, 0.9 * bound):
+        sol = lambda_driven_solution(setup, spec.case, spec.branch, lam)
         kernel_calls.clear()
-        poles = singularity_scan(
-            lambda_driven_solution(setup, spec.case, spec.branch, lam)
-        )
+        den_at_calls.clear()
+        poles = singularity_scan(sol)
         assert len(poles) == 1
-        assert kernel_calls == [10_001]
+        assert kernel_calls == []
+        lo, hi = _default_range(sol)
+        assert 0 < len(den_at_calls) <= 2 + math.ceil(math.log2((hi - lo) / 1e-10))

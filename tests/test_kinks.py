@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import glkinks
-from glkinks import analysis, kinks
+from glkinks import kinks
 from glkinks.errors import NonPositiveCoefficient, NonPositiveRate, SingularPoint
 from glkinks.figures import FIGURES
 from glkinks.kinks import (
@@ -247,11 +247,6 @@ def test_kernel_blocks_match_one_pass(coefs, rate, xi0, n, order, two_d):
     for g, w in zip(got, want):
         assert g.shape == w.shape == xi.shape
         np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
-
-
-def test_block_holds_a_pole_scan():
-    # the dense pass of a pole scan stays one kernel pass
-    assert kinks._BLOCK >= analysis._SCAN_POINTS
 
 
 _signed_coef = log_uniform(-6.0, 6.0) | st.just(0.0)

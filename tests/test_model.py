@@ -203,9 +203,49 @@ def test_epsilon_from_field_zero_drive():
     assert all(ok for _, ok in roots)
 
 
+_FOLD = 2.0 / (3.0 * math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("a1,b1", [(1.0, 1.0), (3.0, 0.7), (1e-6, 1e6), (1e6, 1e-6)])
+@pytest.mark.parametrize("times_fold,count", [(0.5, 3), (1.5, 1), (-0.5, 3), (-1.5, 1)])
+def test_epsilon_from_field_counts_roots_in_the_equation_units(a1, b1, times_fold, count):
+    # the roots are M*e with e^3 - e + d = 0, d = drive/(a1*M): inside the
+    # fold |d| = 2/(3*sqrt(3)) there are three at every scale, beyond it one
+    m = math.sqrt(a1 / b1)
+    drive = times_fold * _FOLD * a1 * m
+    roots = epsilon_from_field(a1, b1, 1.0, drive)
+    unit = epsilon_from_field(1.0, 1.0, 1.0, times_fold * _FOLD)
+    assert len(roots) == len(unit) == count
+    for (eps, ok), (e, ok_unit) in zip(roots, unit):
+        assert eps / m == pytest.approx(e, rel=1e-14)
+        assert ok == ok_unit == (3.0 * e * e <= 4.0)
+        assert abs(b1 * eps**3 - a1 * eps + drive) <= 1e-14 * a1 * m
+
+
+def test_epsilon_from_field_at_the_fold():
+    # a double root and a simple one, each reported once
+    roots = epsilon_from_field(1.0, 1.0, 1.0, _FOLD)
+    assert [e for e, _ in roots] == pytest.approx([-2.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)])
+    assert all(ok for _, ok in roots)
+
+
+def test_epsilon_from_field_weak_field():
+    # the root near 0 is drive/a1 to rounding relative to itself
+    a1, b1, drive = 3.0, 0.7, 1e-12
+    eps, ok = epsilon_from_field(a1, b1, 1.0, drive)[1]
+    assert ok
+    assert eps == pytest.approx(drive / a1, rel=1e-14)
+
+
 def test_epsilon_from_field_rejects_zero_gamma1():
     with pytest.raises(ValueError):
         epsilon_from_field(1.0, 1.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_epsilon_from_field_rejects_a_non_finite_drive(eta):
+    with pytest.raises(ValueError, match="finite"):
+        epsilon_from_field(1.0, 1.0, 1.0, eta)
 
 
 def test_map_condon_params():

@@ -314,6 +314,8 @@ def test_rk4_halving_ratio_is_fourth_order():
 def _reference_second_order(params, psi0, dpsi0, xi_span, step):
     lo, hi, n, h = _rk4_span(xi_span, step)
     a1, b1, rho, drive = params.a1, params.b1, params.rho, params.drive
+    m = math.sqrt(a1 / b1)
+    big = _BLOWUP * max(m, math.sqrt(a1) * m)
 
     def acc(y, v):
         return -rho * v + b1 * y * y * y - a1 * y - drive
@@ -334,7 +336,7 @@ def _reference_second_order(params, psi0, dpsi0, xi_span, step):
         k4v = acc(y + h * k3y, k4y)
         y += h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        if not (math.isfinite(y) and math.isfinite(v)) or abs(y) > _BLOWUP or abs(v) > _BLOWUP:
+        if not (math.isfinite(y) and math.isfinite(v)) or abs(y) > big or abs(v) > big:
             partial = Trajectory(xs[: i + 1], ys[: i + 1].copy(), vs[: i + 1].copy(), h)
             raise NonFinite(
                 f"integration blew up at xi={xs[i + 1]}", xi=float(xs[i + 1]), trajectory=partial
