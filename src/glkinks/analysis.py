@@ -27,8 +27,15 @@ denominator is d_u*u + d_1, affine in u = exp(rate*(xi - xi0)), and u is
 monotone in xi: it changes sign at most once on any range.  The scan
 therefore evaluates it at the two ends of the range and, if their signs
 differ, bisects that one bracket to an absolute 1e-10.  Every evaluation
-is MobiusExpProfile.den_at, the kernel's denominator at one float, bit for
-bit, in plain float arithmetic: no array is built.
+is MobiusExpProfile.den_at, the denominator at one float in the
+overflow-free scaling the kernel uses, in plain float arithmetic: no array
+is built.
+
+The default range of the scan and of the midpoint is +-40 widths around
+xi0, where u = 1, which is not the kink's centre: for the undriven and
+zero-field families the centre lies log(sqrt(b1))/rate from xi0.  The
+range stays on xi0 because the midpoint's NoCrossing rule, and with it the
+delay curves, are defined on it; verify centres its windows on the kink.
 """
 
 from __future__ import annotations

@@ -72,14 +72,16 @@ from .model import (
     driven_setup,
     epsilon_admissible_interval,
 )
-from .verify import compare, integrate_second_order, residual, verification_grid
+from .verify import _centre, compare, integrate_second_order, residual, verification_grid
 
 _USAGE_ERROR = 2
 _DOMAIN_ERROR = 3
 
-# verify passes a residual line when max|res| / max(b1*M**3, a1*M, |drive|),
-# M = max|psi| on its grid, is below this: correct catalogue profiles reach
-# 8.7e-16, a friction off by 1e-3 at least 1.7e-4, at a1, b1 from 1e-6 to 1e6
+# verify passes a residual line when max|res| < this * max(b1*M*M*M, a1*M,
+# |drive|), M = max|psi| on its grid: correct catalogue profiles reach
+# 8.7e-16, a friction off by 1e-3 at least 1.7e-4, at a1, b1 from 1e-6 to 1e6.
+# The cube is formed left to right and nothing is divided, so no scale
+# raises an exception: an overflow to inf or an underflow to 0 fails the line
 _RESIDUAL_GATE = 1e-12
 
 
@@ -421,8 +423,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         grid = verification_grid(sol)
         report = residual(sol, rho=rho, grid=grid, mode="analytic")
         big = float(np.max(np.abs(sol.profile.value(grid))))
-        scale = max(sol.params.b1 * big**3, sol.params.a1 * big, abs(sol.eta_gamma))
-        ok = report.max_abs_residual / scale < _RESIDUAL_GATE
+        scale = max(sol.params.b1 * big * big * big, sol.params.a1 * big, abs(sol.eta_gamma))
+        ok = report.max_abs_residual < _RESIDUAL_GATE * scale
         failures += 0 if ok else 1
         lines.append(
             f"{'PASS' if ok else 'FAIL'}  residual {label}: "
@@ -430,10 +432,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"(skipped {report.skipped})"
         )
     # one integration oracle per run keeps the suite under a few seconds; it
-    # steps in the kink's own units, 20 widths at min(width, 1/|rho|)/50
+    # steps in the kink's own units, 20 widths around its centre at
+    # min(width, 1/|rho|)/50
     oracle = undriven_solution(ModelParams(a1, b1), 1)
     w = 1.0 / oracle.width_inverse
-    span = (oracle.xi0 - 10.0 * w, oracle.xi0 + 10.0 * w)
+    centre = _centre(oracle)
+    span = (centre - 10.0 * w, centre + 10.0 * w)
     params = ModelParams(
         oracle.params.a1, oracle.params.b1, oracle.forced_rho * (1.0 + args.perturb_rho)
     )

@@ -5,16 +5,19 @@ exponential,
 
     psi(xi) = (n_u * u + n_1) / (d_u * u + d_1),    u = exp(rate*(xi - xi0)),
 
-which makes the analytic machinery uniform: derivatives, asymptotic limits,
-the (at most one) real pole and the (at most one) crossing of any level,
-such as the switching midpoint, all come from the same four coefficients,
-and one kernel pass (MobiusExpProfile.kernel) evaluates value, derivatives
-and denominator together from a single exponential.  Every profile is a
-kink: MobiusExpProfile refuses a zero rate and a zero determinant
-n_u*d_1 - n_1*d_u, the two ways the form collapses to a constant, so the
-profile switches between two distinct levels (one of them infinite where a
-denominator coefficient is zero).  A point is singular when it lies within
-SINGULAR_TOL kink widths of the closed-form pole.
+where xi0, the point u = 1, is not the kink's centre: that is the Moebius
+centre xi0 + log|d_1/d_u|/rate, the switching midpoint of a smooth kink and
+the pole of a poled one.  The form makes the analytic machinery uniform:
+derivatives, asymptotic limits, the (at most one) real pole and the (at
+most one) crossing of any level, such as the switching midpoint, all come
+from the same four coefficients, and one kernel pass
+(MobiusExpProfile.kernel) evaluates the value and its derivatives together
+from a single exponential.  Every profile is a kink: MobiusExpProfile
+refuses a zero rate and a zero determinant n_u*d_1 - n_1*d_u, the two ways
+the form collapses to a constant, so the profile switches between two
+distinct levels (one of them infinite where a denominator coefficient is
+zero).  A point is singular when it lies within SINGULAR_TOL kink widths of
+the closed-form pole.
 The families are
 
   * the two-root kink of the unit cubic (montroll_solution),
@@ -30,10 +33,10 @@ The families are
     by log|g|/alpha, or for g < 0 its partner with a pole, between the
     same two levels (_lambda_profile),
   * the general Riccati solution through any initial value
-    (general_riccati): one more Moebius-exponential profile (a rational
-    function when c2 == 0), built from the equation's c1, c2 rather than
-    from a family's closed form, so the two derivations can be
-    cross-checked.
+    (general_riccati): one more Moebius-exponential profile, built from
+    the equation's c1, c2 rather than from a family's closed form, so the
+    two derivations can be cross-checked.  It refuses c2 == 0, where the
+    solution is rational, as it refuses c1 == 0.
 
 Each constructor returns a KinkSolution whose params carry the forced
 friction value and the drive and whose profile yields asymptotics and the
@@ -83,22 +86,6 @@ UNDRIVEN_RHO_SIGNS = {i: 1 if pair.endswith("+") else -1 for pair, i in _BASIC_K
 _OTHER_VARIANT = {"first": "second", "second": "first"}
 
 
-class ProfilePass:
-    """What one kernel pass of a MobiusExpProfile yields over a set of points.
-
-    Each array has the shape of the points.  derivatives holds psi', psi'',
-    ... up to the order asked for.  den is the denominator in the
-    overflow-free scaling the value uses: off by a positive factor, so its
-    sign is the true denominator's.  The pass computes no singular mask:
-    MobiusExpProfile.is_singular derives it from the closed-form pole.
-    """
-
-    def __init__(self, value, derivatives, den):
-        self.value = value
-        self.derivatives = derivatives
-        self.den = den
-
-
 @dataclass(frozen=True)
 class MobiusExpProfile:
     """(n_u*u + n_1)/(d_u*u + d_1) with u = exp(rate*(xi - xi0)), a kink.
@@ -109,13 +96,13 @@ class MobiusExpProfile:
     distinct limits (one infinite when d_1 or d_u is zero).
 
     kernel() is the one evaluation path: a single exponential per call
-    yields the value, the derivatives up to order 2 and the denominator
-    together.  value, first_derivative and second_derivative are views of
-    it.  The exponential is always fed its nonpositive argument (the
-    reciprocal form is used on the growing side), so no intermediate can
-    overflow no matter how far out xi is.  is_singular needs no kernel
-    pass: it measures the distance to the closed-form pole (pole_xis).
-    den_at is the kernel's denominator at one float, for bisections.
+    yields the value and the derivatives up to order 2 together.  value,
+    first_derivative and second_derivative are views of it.  The
+    exponential is always fed its nonpositive argument (the reciprocal form
+    is used on the growing side), so no intermediate can overflow no matter
+    how far out xi is.  is_singular is the one pole test and needs no
+    kernel pass: it measures the distance to the closed-form pole
+    (pole_xis).  den_at is the denominator at one float, for bisections.
     """
 
     num_u: float
@@ -132,8 +119,8 @@ class MobiusExpProfile:
         if self.rate == 0.0 or self.num_u * self.den_1 - self.num_1 * self.den_u == 0.0:
             raise ValueError(f"profile is a constant, not a kink: {fields}")
 
-    def kernel(self, xi, order: int = 0) -> ProfilePass:
-        """Value, derivatives up to order (0-2) and denominator at xi.
+    def kernel(self, xi, order: int = 0) -> tuple[np.ndarray, ...]:
+        """(psi, psi', psi'')[:order + 1] at xi, each shaped like xi.
 
         One exponential serves all three.  At the pole value and
         derivatives are whatever the division gives (inf or nan), without
@@ -146,23 +133,15 @@ class MobiusExpProfile:
         x = np.asarray(xi, dtype=float)
         flat = x.reshape(-1)
         if flat.size <= _BLOCK:
-            kp = self._pass(flat, order)
+            out = self._pass(flat, order)
         else:
             parts = [self._pass(flat[i : i + _BLOCK], order) for i in range(0, flat.size, _BLOCK)]
-            kp = ProfilePass(
-                np.concatenate([p.value for p in parts]),
-                tuple(np.concatenate([p.derivatives[j] for p in parts]) for j in range(order)),
-                np.concatenate([p.den for p in parts]),
-            )
+            out = tuple(map(np.concatenate, zip(*parts)))
         if x.ndim != 1:
-            kp = ProfilePass(
-                kp.value.reshape(x.shape),
-                tuple(d.reshape(x.shape) for d in kp.derivatives),
-                kp.den.reshape(x.shape),
-            )
-        return kp
+            out = tuple(a.reshape(x.shape) for a in out)
+        return out
 
-    def _pass(self, x, order: int) -> ProfilePass:
+    def _pass(self, x, order: int) -> tuple[np.ndarray, ...]:
         """kernel() on one 1-D block of at most _BLOCK points."""
         z = (x - self.xi0) * self.rate
         grow = z > 0.0
@@ -185,22 +164,23 @@ class MobiusExpProfile:
             # d_1 - d_u*u in the scaling of den, for psi''
             inner = b * self.den_1 - a * self.den_u if order == 2 else None
             del a, b
-            value = num / den
-            derivatives = ()
+            out = (num / den,)
             if order >= 1:
                 w = self.num_u * self.den_1 - self.num_1 * self.den_u
                 den2 = den * den
-                derivatives = (e * (self.rate * w) / den2,)
+                out += (e * (self.rate * w) / den2,)
             if order == 2:
-                derivatives += (e * (self.rate * self.rate * w) * inner / (den2 * den),)
-        return ProfilePass(value, derivatives, den)
+                out += (e * (self.rate * self.rate * w) * inner / (den2 * den),)
+        return out
 
     def den_at(self, x: float) -> float:
-        """kernel(x).den at one float, bit for bit, without building arrays.
+        """The denominator at one float, in the overflow-free scaling of _pass.
 
-        One of _pass's a and b is exactly 1.0, so its den is den_u + e*den_1
-        on the growing side and e*den_u + den_1 elsewhere.  np.exp gives a
-        scalar the same bits as an array element; math.exp does not always.
+        It is off from d_u*u + d_1 by a positive factor, so its sign is the
+        true one.  One of _pass's a and b is exactly 1.0, so den is
+        den_u + e*den_1 on the growing side and e*den_u + den_1 elsewhere.
+        np.exp gives a scalar the same bits as an array element; math.exp
+        does not always.
         """
         z = (x - self.xi0) * self.rate
         e = float(np.exp(-abs(z)))
@@ -208,13 +188,13 @@ class MobiusExpProfile:
 
     def value(self, xi):
         """Profile value; elementwise over arrays, no singularity checks."""
-        return self.kernel(xi).value
+        return self.kernel(xi)[0]
 
     def first_derivative(self, xi):
-        return self.kernel(xi, 1).derivatives[0]
+        return self.kernel(xi, 1)[1]
 
     def second_derivative(self, xi):
-        return self.kernel(xi, 2).derivatives[1]
+        return self.kernel(xi, 2)[2]
 
     def is_singular(self, xi):
         """Elementwise: is xi within SINGULAR_TOL kink widths of the pole?
@@ -275,7 +255,7 @@ class KinkSolution:
     Five values are stored: the family tag, the equation's coefficients
     (params, whose rho is the forced friction and whose drive is the
     constant drive), the driven setup and lambda where the family has them,
-    and the profile.  Every other attribute is derived when read: xi0, k1,
+    and the profile.  Every other attribute is derived when read: xi0,
     width_inverse, the limits and the singularities from the profile,
     forced_rho and eta_gamma from params.
     """
@@ -289,11 +269,6 @@ class KinkSolution:
     @property
     def xi0(self) -> float:
         return self.profile.xi0
-
-    @property
-    def k1(self) -> float:
-        """The translation constant: k1 * exp(rate*xi) == exp(rate*(xi - xi0))."""
-        return math.exp(-self.profile.rate * self.profile.xi0)
 
     @property
     def width_inverse(self) -> float:
@@ -555,11 +530,6 @@ def _first_offender(xi, bad):
     return float(np.atleast_1d(np.asarray(xi, dtype=float))[np.atleast_1d(bad)][0])
 
 
-def _raise_where(bad, xi, what: str):
-    if np.any(bad):
-        raise SingularPoint(what, xi=_first_offender(xi, bad))
-
-
 def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi):
     """General solution of y' = c1*y^2 + c2*y through the particular y1.
 
@@ -567,13 +537,11 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
     built around (any real number; 0 selects the trivial solution).  The
     paper writes the result as y1(xi) + exp(I1)/(lam - c1*I2); it is the
     solution through y(xi0) = y1 + 1/lam = g/lam with g = lam*y1 + 1, so
-    for c2 != 0 it is one Moebius-exponential profile, evaluated by its
-    kernel:
+    it is one Moebius-exponential profile, evaluated by its kernel:
 
-        y = c2*g*u / (c1*g*(1 - u) + c2*lam),    u = exp(c2*(xi - xi0)),
+        y = c2*g*u / (c1*g*(1 - u) + c2*lam),    u = exp(c2*(xi - xi0)).
 
-    and for c2 == 0 the rational g/(lam - c1*g*(xi - xi0)).  As
-    lam -> +-inf it collapses to the particular solution; lam = 0 is the
+    As lam -> +-inf it collapses to the particular solution; lam = 0 is the
     solution with its pole at xi0.  The two constant solutions, 0 (g == 0)
     and the fixed point -c2/c1 (c1*g + c2*lam == 0), are no kink, so they
     are returned without building a profile.
@@ -581,7 +549,9 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
     Raises
     ------
     ValueError
-        If c1 is zero or c1, c2, y1, lam or xi0 is not finite.
+        If c1 or c2 is zero or c1, c2, y1, lam or xi0 is not finite.  With
+        c2 == 0 the solution is rational, not a Moebius-exponential
+        profile, and no family of the catalogue has it.
     SingularPoint
         Where the general solution has a pole.  A pole of the particular
         solution through y1 is removable in the general one, which is
@@ -590,23 +560,12 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
     args = (c1, c2, y1, lam, xi0)
     if not all(map(math.isfinite, args)):
         raise ValueError(f"(c1, c2, y1, lam, xi0) must be finite, got {args}")
-    if c1 == 0.0:
-        raise ValueError("c1 must be nonzero")
+    if c1 == 0.0 or c2 == 0.0:
+        raise ValueError(f"c1 and c2 must be nonzero, got ({c1}, {c2})")
     x = np.asarray(xi, dtype=float)
     g = lam * y1 + 1.0
     den_1 = c1 * g + c2 * lam
-    if c2 == 0.0:
-        z = x - xi0
-        with np.errstate(invalid="ignore", over="ignore"):
-            den = lam - c1 * g * z
-            # <=, not <: at lam = 0 both terms vanish at the pole xi0
-            _raise_where(
-                np.abs(den) <= SINGULAR_TOL * (abs(lam) + np.abs(c1 * g * z)),
-                x,
-                "lambda denominator vanishes",
-            )
-            vals = g / den
-    elif c2 * g * den_1 == 0.0:
+    if c2 * g * den_1 == 0.0:
         # the constant solutions 0 (g == 0) and -c2/c1 (den_1 == 0) are no
         # kink; g is tested first, since den_1 = c2*lam can underflow to 0
         # with it.  copysign(0.0, den_1) is 0.0/den_1 where den_1 != 0.
@@ -614,7 +573,9 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
         vals = np.full(x.shape, c2 * g / (-c1 * g) if fixed_point else math.copysign(0.0, den_1))
     else:
         profile = MobiusExpProfile(c2 * g, 0.0, -c1 * g, den_1, c2, xi0)
-        _raise_where(profile.is_singular(x), x, "lambda denominator vanishes")
+        bad = profile.is_singular(x)
+        if np.any(bad):
+            raise SingularPoint("lambda denominator vanishes", xi=_first_offender(x, bad))
         vals = profile.value(x)
     if x.ndim == 0:
         return float(vals)

@@ -54,19 +54,32 @@ class Trajectory:
     step: float
 
 
+def _centre(solution: KinkSolution) -> float:
+    """The kink's Moebius centre xi0 + log|d_1/d_u|/rate, or xi0 if d_1 or d_u is 0.
+
+    It is the switching midpoint of a smooth kink and the pole of a poled
+    one.  xi0, where u = 1, can lie far from both: log(sqrt(b1))/rate away
+    for the undriven and zero-field families.
+    """
+    p = solution.profile
+    xi = p._root_xi(abs(p.den_u), -abs(p.den_1))
+    return solution.xi0 if xi is None else xi
+
+
 def verification_grid(
     solution: KinkSolution,
     widths: float = 40.0,
     n: int = 4001,
     margin_widths: float = 2.0,
 ) -> np.ndarray:
-    """Grid of n points spanning +-widths kink widths around xi0.
+    """Grid of n points spanning +-widths kink widths around the kink's centre.
 
+    The centre is the switching midpoint, or the pole of a poled kink.
     Points closer than margin_widths widths to any pole are removed, so
     the grid is safe for both derivative modes.
     """
     w = 1.0 / solution.width_inverse
-    xi = solution.xi0 + np.linspace(-widths * w, widths * w, int(n))
+    xi = _centre(solution) + np.linspace(-widths * w, widths * w, int(n))
     keep = np.ones(xi.size, dtype=bool)
     for pole in solution.singularities:
         keep &= np.abs(xi - pole) > margin_widths * w
@@ -98,7 +111,8 @@ def residual(
     differences with step 1e-4 (noise floor near 5e-7).  Points the
     profile's is_singular flags are dropped first and counted in skipped;
     the rest are evaluated in blocks of kinks._BLOCK points, one kernel
-    pass per block for the value and the exact derivatives.
+    pass per block for the value and the exact derivatives.  A defect that
+    overflows is inf or nan, without warnings, and fails any gate.
     """
     if mode not in ("analytic", "fd"):
         raise ValueError(f"mode must be 'analytic' or 'fd', got {mode!r}")
@@ -120,23 +134,25 @@ def residual(
     # block wins only when larger, or nan, which keeps np.argmax's
     # first-max-wins and first-nan-wins rule
     best, arg = -1.0, 0.0
-    for i in range(0, xi_ok.size, _BLOCK):
-        x = xi_ok[i : i + _BLOCK]
-        if mode == "analytic":
-            kp = p.kernel(x, 2)
-            psi, (d1, d2) = kp.value, kp.derivatives
-        else:
-            psi = p.value(x)
-            up = p.value(x + h)
-            dn = p.value(x - h)
-            d1 = (up - dn) / (2.0 * h)
-            d2 = (up - 2.0 * psi + dn) / (h * h)
-        res = d2 + rho_val * d1 - b1 * (psi * psi * psi) + a1 * psi + drive
-        k = int(np.argmax(np.abs(res)))
-        if not abs(res[k]) <= best:
-            best, arg = float(abs(res[k])), float(x[k])
-            if np.isnan(best):
-                break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, xi_ok.size, _BLOCK):
+            x = xi_ok[i : i + _BLOCK]
+            if mode == "analytic":
+                psi, d1, d2 = p.kernel(x, 2)
+            else:
+                psi = p.value(x)
+                up = p.value(x + h)
+                dn = p.value(x - h)
+                d1 = (up - dn) / (2.0 * h)
+                d2 = (up - 2.0 * psi + dn) / (h * h)
+            # b1*psi*psi*psi left to right, as the RK4 step forms it: psi**3
+            # alone underflows (or overflows) once |psi| is near 1e-103 (1e103)
+            res = d2 + rho_val * d1 - b1 * psi * psi * psi + a1 * psi + drive
+            k = int(np.argmax(np.abs(res)))
+            if not abs(res[k]) <= best:
+                best, arg = float(abs(res[k])), float(x[k])
+                if np.isnan(best):
+                    break
     return ResidualReport(
         max_abs_residual=best,
         argmax_xi=arg,

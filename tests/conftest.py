@@ -1,7 +1,8 @@
-"""Shared test helpers: the family roster, the RK4 comparison recipe, a float strategy."""
+"""Shared test helpers: family roster, RK4 comparison recipe, float strategy, kernel reference."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -17,6 +18,33 @@ def log_uniform(lo, hi):
     return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(
         lambda t: t[0] * 10.0 ** t[1]
     )
+
+
+def one_pass_kernel(p, xi, order):
+    """The profile kernel as one pass over the whole array: (value, *derivatives, den).
+
+    The reference that MobiusExpProfile.kernel's blocks and den_at must
+    match bit for bit; den is the denominator in the kernel's
+    overflow-free scaling, which the kernel itself does not return.
+    """
+    x = np.asarray(xi, dtype=float)
+    z = (x.reshape(-1) - p.xi0) * p.rate
+    grow = z > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
+        e = np.exp(np.copysign(z, -1.0))
+        a = np.maximum(e, grow)
+        b = np.maximum(e, ~grow)
+        num = a * p.num_u + b * p.num_1
+        den = a * p.den_u + b * p.den_1
+        inner = b * p.den_1 - a * p.den_u
+        w = p.num_u * p.den_1 - p.num_1 * p.den_u
+        value = num / den
+        den2 = den * den
+        derivatives = [
+            e * (p.rate * w) / den2,
+            e * (p.rate * p.rate * w) * inner / (den2 * den),
+        ][:order]
+    return [arr.reshape(x.shape) for arr in (value, *derivatives, den)]
 
 
 @pytest.fixture(scope="session")

@@ -105,6 +105,15 @@ ROSTER = [
     ("verify-a1-1e10-b1-1e-10", ["verify", "--a1", "1e10", "--b1", "1e-10"], "verify", 0),
     ("verify-perturbed-a1-1e10-b1-1e-10",
      ["verify", "--a1", "1e10", "--b1", "1e-10", "--perturb-rho", "0.001"], "verify", 1),
+    # xi0 lies log(sqrt(b1))/rate from these kinks, 173 widths here, so the
+    # windows are centred on each kink; and the residual and its gate form
+    # b1*psi*psi*psi left to right, which neither under- nor overflows at M = 1e-150
+    ("verify-a1-1e150-b1-1e-150", ["verify", "--a1", "1e150", "--b1", "1e-150"], "verify", 0),
+    ("verify-perturbed-a1-1e150-b1-1e-150",
+     ["verify", "--a1", "1e150", "--b1", "1e-150", "--perturb-rho", "0.001"], "verify", 1),
+    ("verify-a1-1e-150-b1-1e150", ["verify", "--a1", "1e-150", "--b1", "1e150"], "verify", 0),
+    ("verify-perturbed-a1-1e-150-b1-1e150",
+     ["verify", "--a1", "1e-150", "--b1", "1e150", "--perturb-rho", "0.001"], "verify", 1),
 ]
 
 

@@ -28,6 +28,7 @@ from glkinks.kinks import (
     undriven_solution,
 )
 from glkinks.model import ModelParams, driven_setup, epsilon_admissible_interval
+from conftest import one_pass_kernel
 from golden_cli import ROSTER, golden_path
 
 _FORBIDDEN_BOUNDS = {
@@ -123,10 +124,11 @@ def _sign_change_roots(f, f_at, lo, hi):
 
 
 def _dense_scan(solution, xi_range=None):
-    """Poles as sign changes of the kernel's denominator on a dense grid."""
+    """Poles as sign changes of the one-pass reference denominator on a dense grid."""
     lo, hi = xi_range if xi_range is not None else _default_range(solution)
     p = solution.profile
-    return tuple(sorted(_sign_change_roots(lambda x: p.kernel(x).den, p.den_at, lo, hi)))
+    den = lambda x: one_pass_kernel(p, x, 0)[-1]  # noqa: E731
+    return tuple(sorted(_sign_change_roots(den, p.den_at, lo, hi)))
 
 
 def test_singularity_scan_matches_constructor_poles():
@@ -603,7 +605,7 @@ def test_bisect_matches_one_point_bisection(
     assume(num_u * den_1 - num_1 * den_u != 0.0)  # a kink, not a constant
     profile = MobiusExpProfile(*coefs, rate, xi0)
     if use_den:
-        f = lambda x: profile.kernel(x).den  # noqa: E731
+        f = lambda x: one_pass_kernel(profile, x, 0)[-1]  # noqa: E731
         f_at = profile.den_at
     else:
         f = f_at = lambda x: profile.value(x) - level  # noqa: E731

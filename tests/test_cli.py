@@ -568,6 +568,23 @@ def test_verify_coefficients_reach_the_roster(capsys):
 
 
 @pytest.mark.parametrize(
+    "a1,b1",
+    [("1e200", "1e-200"), ("1e300", "1"), ("1e-200", "1e200"), ("1e-300", "1")],
+)
+def test_verify_beyond_float_range_fails_without_traceback(a1, b1):
+    # the equation's terms over- or underflow at these scales: the suite
+    # fails (exit 1) or its RK4 oracle blows up (exit 3), with a message
+    proc = subprocess.run(
+        [sys.executable, "-m", "glkinks", "verify", "--a1", a1, "--b1", b1],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert proc.returncode in (1, 3), proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--a1", "0"],

@@ -70,19 +70,13 @@ def test_rejects_non_finite_input(index, bad):
         general_riccati(*args, np.array([0.0, 1.0]))
 
 
-@pytest.mark.parametrize("c2", [1.0, 0.0])
-def test_zero_lambda_has_its_pole_at_center(c2):
+def test_zero_lambda_has_its_pole_at_center():
     # y(xi0) = y1 + 1/0: the solution with its pole at xi0, finite elsewhere
     with pytest.raises(SingularPoint) as err:
-        general_riccati(-1.0, c2, 0.5, 0.0, 0.3, np.array([-1.0, 0.3, 1.0]))
+        general_riccati(-1.0, 1.0, 0.5, 0.0, 0.3, np.array([-1.0, 0.3, 1.0]))
     assert err.value.xi == 0.3
-    vals = general_riccati(-1.0, c2, 0.5, 0.0, 0.3, np.array([-1.0, 1.0]))
+    vals = general_riccati(-1.0, 1.0, 0.5, 0.0, 0.3, np.array([-1.0, 1.0]))
     assert np.all(np.isfinite(vals))
-
-
-def test_tiny_rational_solution_is_not_singular():
-    # c2 == 0: y = 1/(1e-20 - 1e-20*xi), pole at xi = 1, half a unit away
-    assert general_riccati(1e-20, 0.0, 0.0, 1e-20, 0.0, 0.5) == 2e20
 
 
 # -------------------------------------------------- fixed points and poles
@@ -220,26 +214,3 @@ def test_matches_reference(c1, c2, y1, lam, xi0, far, near):
         if off_poles(x, poles, amp) and off_poles(x, particular, amp_particular):
             dist = abs(x - p) / width
             assert _rel_error(args, ref, x) * min(dist, 1.0) <= NEAR_SCALED * amp
-
-
-@settings(deadline=None, max_examples=100)
-@given(
-    c1=log_uniform(-2.0, 2.0),
-    y1=log_uniform(-3.0, 3.0),
-    lam=log_uniform(-3.0, 3.0),
-    xi0=st.floats(-5.0, 5.0),
-    z=st.floats(-10.0, 10.0),
-)
-def test_pure_quadratic_matches_reference(c1, y1, lam, xi0, z):
-    # c2 == 0: y = y0/(1 - c1*y0*(xi - xi0)); its condition number is that
-    # of y0 = y1 + 1/lam times the size of the denominator's terms over it
-    x = xi0 + z
-    y0 = mp.mpf(y1) + 1 / mp.mpf(lam)
-    den = 1 - c1 * y0 * (mp.mpf(x) - xi0)
-    particular = 1 - c1 * mp.mpf(y1) * (mp.mpf(x) - xi0)
-    assume(y0 != 0 and abs(den) > 1e-6 and abs(particular) > 1e-6)
-    want = y0 / den
-    got = mp.mpf(general_riccati(c1, 0.0, y1, lam, xi0, x))
-    cond = (abs(y1) + abs(1 / mp.mpf(lam))) / abs(y0)
-    cond *= (1 + abs(c1 * y0 * (mp.mpf(x) - xi0))) / abs(den)
-    assert float(abs((got - want) / want)) <= 1e-14 * float(cond)

@@ -30,7 +30,7 @@ from glkinks.kinks import (
 from glkinks.model import SQRT2, ModelParams, driven_setup, undriven_rho
 from glkinks.verify import integrate_riccati, residual
 
-from conftest import log_uniform
+from conftest import log_uniform, one_pass_kernel
 
 _ROOTS = (0.0, 1.0, -1.0)
 
@@ -180,12 +180,12 @@ def test_first_derivative_matches_finite_difference(num_u, num_1, den_u, den_1, 
     h = 1e-5
     pts = np.array([x - h, x, x + h])
     # one order-2 pass gives what the four single-purpose views give, bit for bit
-    one_pass = p.kernel(pts, 2)
+    psi, dpsi, ddpsi = p.kernel(pts, 2)
     vals = p.value(pts)
     d1 = p.first_derivative(pts)
-    np.testing.assert_array_equal(one_pass.value, vals)
-    np.testing.assert_array_equal(one_pass.derivatives[0], d1)
-    np.testing.assert_array_equal(one_pass.derivatives[1], p.second_derivative(pts))
+    np.testing.assert_array_equal(psi, vals)
+    np.testing.assert_array_equal(dpsi, d1)
+    np.testing.assert_array_equal(ddpsi, p.second_derivative(pts))
     assume(np.all(np.isfinite(vals)) and np.max(np.abs(vals)) < 1e2)
     fd = (vals[2] - vals[0]) / (2.0 * h)
     exact = float(p.first_derivative(x))
@@ -195,29 +195,7 @@ def test_first_derivative_matches_finite_difference(num_u, num_1, den_u, den_1, 
     assume(np.all(np.isfinite(d1)) and np.max(np.abs(d1)) < 1e2)
     fd2 = (d1[2] - d1[0]) / (2.0 * h)
     scale2 = 1.0 + abs(fd2) + float(np.max(np.abs(d1)))
-    assert float(one_pass.derivatives[1][1]) == pytest.approx(fd2, abs=1e-4 * scale2)
-
-
-def _one_pass_kernel(p, xi, order):
-    """The kernel as one pass over the whole array: (value, *derivatives, den)."""
-    x = np.asarray(xi, dtype=float)
-    z = (x.reshape(-1) - p.xi0) * p.rate
-    grow = z > 0.0
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
-        e = np.exp(np.copysign(z, -1.0))
-        a = np.maximum(e, grow)
-        b = np.maximum(e, ~grow)
-        num = a * p.num_u + b * p.num_1
-        den = a * p.den_u + b * p.den_1
-        inner = b * p.den_1 - a * p.den_u
-        w = p.num_u * p.den_1 - p.num_1 * p.den_u
-        value = num / den
-        den2 = den * den
-        derivatives = [
-            e * (p.rate * w) / den2,
-            e * (p.rate * p.rate * w) * inner / (den2 * den),
-        ][:order]
-    return [arr.reshape(x.shape) for arr in (value, *derivatives, den)]
+    assert float(ddpsi[1]) == pytest.approx(fd2, abs=1e-4 * scale2)
 
 
 _B = kinks._BLOCK
@@ -240,10 +218,9 @@ def test_kernel_blocks_match_one_pass(coefs, rate, xi0, n, order, two_d):
     xi = np.linspace(-50.0, 50.0, n)
     if two_d and n % 2 == 0:
         xi = xi.reshape(2, n // 2)
-    kp = p.kernel(xi, order)
-    got = [kp.value, *kp.derivatives, kp.den]
-    want = _one_pass_kernel(p, xi, order)
-    assert len(got) == len(want) == order + 2
+    got = p.kernel(xi, order)
+    *want, _ = one_pass_kernel(p, xi, order)
+    assert type(got) is tuple and len(got) == len(want) == order + 1
     for g, w in zip(got, want):
         assert g.shape == w.shape == xi.shape
         np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
@@ -270,10 +247,11 @@ def test_den_at_matches_kernel_bits(coefs, rate, xi0, widths):
     got = np.array([p.den_at(x) for x in points])
     assert all(type(p.den_at(x)) is float for x in points)
     for x, g in zip(points, got):
-        one = p.kernel(np.array([x])).den[0]
+        one = one_pass_kernel(p, np.array([x]), 0)[-1][0]
         assert g.view(np.int64) == one.view(np.int64), (x, g, one)
     # and as elements of one many-point pass
-    np.testing.assert_array_equal(got.view(np.int64), p.kernel(np.array(points)).den.view(np.int64))
+    many = one_pass_kernel(p, np.array(points), 0)[-1]
+    np.testing.assert_array_equal(got.view(np.int64), many.view(np.int64))
 
 
 # ------------------------------------------------------------ basic kinks
@@ -367,10 +345,9 @@ def test_evaluate_scalar_returns_float():
     assert arr.shape == (2,)
 
 
-def test_k1_and_width_follow_center_shift():
+def test_width_follows_center_shift():
     sol = undriven_solution(ModelParams(1.0, 1.0), 1, xi0=1.5)
     alpha = 1.0 / SQRT2
-    assert sol.k1 == pytest.approx(math.exp(-alpha * 1.5), rel=1e-15)
     assert sol.width_inverse == pytest.approx(alpha, rel=1e-15)
     assert sol.evaluate(1.5) == 0.5
 
@@ -603,14 +580,16 @@ def test_zero_field_lambda_tends_to_basic_kinks():
 def test_general_riccati_requires_quadratic_term():
     with pytest.raises(ValueError):
         general_riccati(0.0, 1.0, 0.0, 1.0, 0.0, 0.5)
+    # c2 == 0 would be the rational 1/(lam - c1*xi), no Moebius-exponential
+    # profile and no family's solution
+    with pytest.raises(ValueError):
+        general_riccati(1.0, 0.0, 0.0, 1.0, 0.0, 0.5)
 
 
 def test_general_riccati_value_at_center():
     for c1, c2, v0, lam in [
         (-1.0, 1.0, 0.0, 3.0),
         (0.5, -0.7, 0.25, -2.0),
-        (1.0, 0.0, 0.0, 4.0),
-        (1.0, 0.0, -0.5, 4.0),
     ]:
         y0 = general_riccati(c1, c2, v0, lam, 0.0, 0.0)
         assert y0 == pytest.approx(v0 + 1.0 / lam, rel=1e-13)
@@ -630,24 +609,12 @@ def test_general_riccati_scalar_and_array_forms():
     assert arr[1] == pytest.approx(out, rel=1e-15)
 
 
-def test_general_riccati_pure_quadratic_closed_form():
-    # c2 == 0, trivial particular: y = 1/(lam - c1*(xi - xi0))
-    c1, lam = 0.8, 2.5
-    xi = np.linspace(-3.0, 3.0, 61)
-    vals = general_riccati(c1, 0.0, 0.0, lam, 0.0, xi)
-    assert np.allclose(vals, 1.0 / (lam - c1 * xi), rtol=1e-13, atol=0.0)
-
-
-def test_general_riccati_pure_quadratic_poles():
-    with pytest.raises(SingularPoint):
-        general_riccati(1.0, 0.0, 0.0, 1.0, 0.0, np.array([0.5, 1.0]))
-    # c1 = y1 = 1, lam = -3: the particular solution through y1 blows up at
-    # z = 1 for c2 = 0 and at z = log 2 for c2 = 1, but those poles are
-    # removable and the general solution is finite there
+def test_general_riccati_particular_pole_is_removable():
+    # c1 = c2 = y1 = 1, lam = -3: the particular solution through y1 blows
+    # up at z = log 2, but that pole is removable and the general solution
+    # is finite there
     c1, y1, lam = 1.0, 1.0, -3.0
     g = lam * y1 + 1.0
-    z = 1.0
-    assert general_riccati(c1, 0.0, y1, lam, 0.0, z) == g / (lam - c1 * g * z) == 2.0
     c2, z = 1.0, math.log(2.0)
     u = math.exp(c2 * z)
     mobius = c2 * g * u / (c1 * g * (1.0 - u) + c2 * lam)
@@ -757,7 +724,6 @@ def test_derived_attributes_follow_profile_and_params():
     for _, sol in catalogue(2.0, 0.5):
         p = sol.profile
         assert sol.xi0 == p.xi0
-        assert sol.k1 == math.exp(-p.rate * p.xi0)
         assert sol.width_inverse == abs(p.rate)
         assert sol.left_limit == p.left_limit()
         assert sol.right_limit == p.right_limit()

@@ -129,10 +129,10 @@ def _full_array_residual(sol, rho, xi, mode):
     p = sol.profile
     sing = p.is_singular(xi)
     keep = ~sing
-    kp = p.kernel(xi, 2 if mode == "analytic" else 0)
-    xi_ok, psi = xi[keep], kp.value[keep]
+    psi, *derivatives = (v[keep] for v in p.kernel(xi, 2 if mode == "analytic" else 0))
+    xi_ok = xi[keep]
     if mode == "analytic":
-        d1, d2 = (d[keep] for d in kp.derivatives)
+        d1, d2 = derivatives
     else:
         h = 1e-4
         up, dn = p.value(xi_ok + h), p.value(xi_ok - h)
@@ -140,7 +140,7 @@ def _full_array_residual(sol, rho, xi, mode):
         d2 = (up - 2.0 * psi + dn) / (h * h)
     a1, b1, drive = sol.params.a1, sol.params.b1, sol.eta_gamma
     with np.errstate(invalid="ignore", over="ignore"):
-        res = d2 + rho * d1 - b1 * (psi * psi * psi) + a1 * psi + drive
+        res = d2 + rho * d1 - b1 * psi * psi * psi + a1 * psi + drive
         k = int(np.argmax(np.abs(res)))
     return ResidualReport(
         max_abs_residual=float(abs(res[k])),
