@@ -6,20 +6,18 @@ midpoint.  For each driven family a window of lambda values produces a pole
 instead of a kink.  This module computes that window and the midpoint in
 closed form and assembles the midpoint-versus-lambda delay curve from them.
 
-The curve obeys the delay law
+The midpoint is the profile's Moebius centre, and a lambda member is its
+particular kink with one coefficient pair scaled by g = 1 - lam_b/lam
+(kinks._lambda_profile), so its centre is the particular's plus
+log|g|/alpha.  The curve therefore obeys the delay law
 
     Delta(lam) = xi_mid(lam) - xi_mid(inf) = log(1 - lam_b/lam) / alpha,
 
-where alpha is the rate of the family's "+" branch (r/sqrt(2) for a
-driven family) and lam_b the window bound (LambdaDomain.bound_value).  It
-holds by construction: a lambda member is its particular kink shifted by
-log(1 - lam_b/lam)/alpha (kinks._lambda_profile).  The delay
-diverges logarithmically as lambda approaches the window edge from
-outside, decays like -lam_b/(alpha*lam) as lambda -> +-inf, and there is
-no crossing where 1 - lam_b/lam <= 0.  The zero-field "second" families
-obey the same law with alpha = sqrt(a1/2) and lam_b = -1/sqrt(a1) on "+",
-+1/sqrt(a1) on "-".  tests/test_analysis.py::_delay_law checks
-delay_curve against it.
+where alpha is the rate of the family's "+" branch and lam_b the window
+bound: r/sqrt(2) and LambdaDomain.bound_value for a driven family,
+sqrt(a1/2) and -+1/sqrt(a1) for a zero-field "second" one.  Where
+g <= 0 the member has a pole and no crossing.
+tests/test_analysis.py::_delay_law checks delay_curve against it.
 
 singularity_scan is the numeric pole oracle: it locates poles without the
 closed form, to cross-check the ones a constructor reports.  A profile's
@@ -61,7 +59,6 @@ class LambdaDomain:
     the bound falls.
     """
 
-    family: str
     forbidden: AdmissibleRange
     bound_value: float
 
@@ -81,8 +78,7 @@ def lambda_forbidden_interval(setup: DrivenSetup, case: str, branch) -> LambdaDo
     forbidden = AdmissibleRange(
         min(0.0, bound), max(0.0, bound), lower_open=True, upper_open=True
     )
-    tag = "+" if s > 0 else "-"
-    return LambdaDomain(family=f"lambda-{c}{tag}", forbidden=forbidden, bound_value=bound)
+    return LambdaDomain(forbidden=forbidden, bound_value=bound)
 
 
 def _default_range(solution: KinkSolution) -> tuple[float, float]:
@@ -148,21 +144,17 @@ def singularity_scan(solution: KinkSolution, xi_range=None) -> tuple[float, ...]
 def switching_midpoint(solution: KinkSolution) -> float:
     """Where the profile crosses the level halfway between its two limits.
 
-    The profile is one Moebius map of u = exp(rate*(xi - xi0)), so it meets
-    the level m at most once, where (n_u - m*d_u)*u + (n_1 - m*d_1) = 0 for
-    some u > 0.  Raises NoCrossing when the limits coincide or are not
-    finite, when no such u exists (a profile with a pole never takes the
-    values between its limits), or when the crossing lies more than 40
-    widths from xi0.
+    That is the profile's Moebius centre (MobiusExpProfile.centre).  Raises
+    NoCrossing when a limit is infinite (d_u or d_1 is 0), when the profile
+    has a pole (it never takes the values between its limits), or when the
+    centre lies more than 40 widths from xi0.
     """
-    left, right = solution.left_limit, solution.right_limit
-    if not (math.isfinite(left) and math.isfinite(right)) or left == right:
-        raise NoCrossing(f"{solution.family} has no distinct finite asymptotic levels")
-    level = 0.5 * (left + right)
     p = solution.profile
-    xi = p._root_xi(p.num_u - level * p.den_u, p.num_1 - level * p.den_1)
+    if p.den_u == 0.0 or p.den_1 == 0.0:
+        raise NoCrossing(f"{solution.family} has no distinct finite asymptotic levels")
+    xi = p.centre()
     lo, hi = _default_range(solution)
-    if xi is None or not lo <= xi <= hi:
+    if xi is None or p.pole_xis() or not lo <= xi <= hi:
         raise NoCrossing(f"{solution.family} never reaches its midpoint level in range")
     return xi
 

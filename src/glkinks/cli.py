@@ -72,7 +72,7 @@ from .model import (
     driven_setup,
     epsilon_admissible_interval,
 )
-from .verify import _centre, compare, integrate_second_order, residual, verification_grid
+from .verify import compare, integrate_second_order, residual, verification_grid
 
 _USAGE_ERROR = 2
 _DOMAIN_ERROR = 3
@@ -436,7 +436,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # min(width, 1/|rho|)/50
     oracle = undriven_solution(ModelParams(a1, b1), 1)
     w = 1.0 / oracle.width_inverse
-    centre = _centre(oracle)
+    centre = oracle.profile.centre()
     span = (centre - 10.0 * w, centre + 10.0 * w)
     params = ModelParams(
         oracle.params.a1, oracle.params.b1, oracle.forced_rho * (1.0 + args.perturb_rho)

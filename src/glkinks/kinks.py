@@ -5,12 +5,11 @@ exponential,
 
     psi(xi) = (n_u * u + n_1) / (d_u * u + d_1),    u = exp(rate*(xi - xi0)),
 
-where xi0, the point u = 1, is not the kink's centre: that is the Moebius
-centre xi0 + log|d_1/d_u|/rate, the switching midpoint of a smooth kink and
-the pole of a poled one.  The form makes the analytic machinery uniform:
-derivatives, asymptotic limits, the (at most one) real pole and the (at
-most one) crossing of any level, such as the switching midpoint, all come
-from the same four coefficients, and one kernel pass
+where xi0, the point u = 1, is not the kink's centre: that is
+MobiusExpProfile.centre(), the pole of a poled kink and the switching
+midpoint of a smooth one.  The form makes the analytic machinery uniform:
+derivatives, asymptotic limits and the centre all come from the same four
+coefficients, and one kernel pass
 (MobiusExpProfile.kernel) evaluates the value and its derivatives together
 from a single exponential.  Every profile is a kink: MobiusExpProfile
 refuses a zero rate and a zero determinant n_u*d_1 - n_1*d_u, the two ways
@@ -215,19 +214,27 @@ class MobiusExpProfile:
         reach = SINGULAR_TOL / abs(self.rate)
         return (x >= poles[0] - reach) & (x <= poles[0] + reach)
 
-    def _root_xi(self, c_u: float, c_1: float) -> float | None:
-        """The xi where c_u*u + c_1 vanishes for some u > 0, else None."""
-        if c_u == 0.0:
+    def centre(self) -> float | None:
+        """The Moebius centre xi0 + log|d_1/d_u|/rate, or None if d_u or d_1 is 0.
+
+        There u = |d_1/d_u|: the pole when d_u and d_1 have opposite signs,
+        and otherwise the switching midpoint, where the profile takes the
+        mean of its two levels.  It is None as well where d_1/d_u
+        underflows to 0, more than 744 widths from xi0.
+        """
+        if self.den_u == 0.0:
             return None
-        u_star = -c_1 / c_u
-        if u_star <= 0.0:
-            return None
-        return self.xi0 + math.log(u_star) / self.rate
+        u = abs(self.den_1 / self.den_u)
+        return self.xi0 + math.log(u) / self.rate if u > 0.0 else None
 
     def pole_xis(self) -> tuple[float, ...]:
-        """Real poles, as xi values; at most one exists."""
-        xi = self._root_xi(self.den_u, self.den_1)
-        return () if xi is None else (xi,)
+        """Real poles, as xi values: the centre when d_u and d_1 have opposite signs.
+
+        The signs are compared, not multiplied: d_u*d_1 can underflow to 0.
+        """
+        opposite = self.den_u < 0.0 < self.den_1 or self.den_1 < 0.0 < self.den_u
+        centre = self.centre() if opposite else None
+        return () if centre is None else (centre,)
 
     def _limit_u0(self) -> float:
         if self.den_1 != 0.0:

@@ -54,32 +54,19 @@ class Trajectory:
     step: float
 
 
-def _centre(solution: KinkSolution) -> float:
-    """The kink's Moebius centre xi0 + log|d_1/d_u|/rate, or xi0 if d_1 or d_u is 0.
-
-    It is the switching midpoint of a smooth kink and the pole of a poled
-    one.  xi0, where u = 1, can lie far from both: log(sqrt(b1))/rate away
-    for the undriven and zero-field families.
-    """
-    p = solution.profile
-    xi = p._root_xi(abs(p.den_u), -abs(p.den_1))
-    return solution.xi0 if xi is None else xi
-
-
 def verification_grid(
-    solution: KinkSolution,
-    widths: float = 40.0,
-    n: int = 4001,
-    margin_widths: float = 2.0,
+    solution: KinkSolution, n: int = 4001, margin_widths: float = 2.0
 ) -> np.ndarray:
-    """Grid of n points spanning +-widths kink widths around the kink's centre.
+    """Grid of n points spanning +-40 kink widths around the kink's centre.
 
-    The centre is the switching midpoint, or the pole of a poled kink.
-    Points closer than margin_widths widths to any pole are removed, so
-    the grid is safe for both derivative modes.
+    The centre is MobiusExpProfile.centre(): the switching midpoint, or the
+    pole of a poled kink; xi0 where it has none.  Points closer than
+    margin_widths widths to any pole are removed, so the grid is safe for
+    both derivative modes.
     """
     w = 1.0 / solution.width_inverse
-    xi = _centre(solution) + np.linspace(-widths * w, widths * w, int(n))
+    centre = solution.profile.centre()
+    xi = (solution.xi0 if centre is None else centre) + np.linspace(-40.0 * w, 40.0 * w, int(n))
     keep = np.ones(xi.size, dtype=bool)
     for pole in solution.singularities:
         keep &= np.abs(xi - pole) > margin_widths * w

@@ -28,7 +28,7 @@ from glkinks.kinks import (
     undriven_solution,
 )
 from glkinks.model import ModelParams, driven_setup, epsilon_admissible_interval
-from conftest import one_pass_kernel
+from conftest import log_uniform, one_pass_kernel
 from golden_cli import ROSTER, golden_path
 
 _FORBIDDEN_BOUNDS = {
@@ -76,7 +76,6 @@ def test_forbidden_interval_reference_bounds(fig_id):
     spec, setup = _setup_for(fig_id)
     domain = lambda_forbidden_interval(setup, spec.case, spec.branch)
     assert domain.bound_value == pytest.approx(_FORBIDDEN_BOUNDS[fig_id], rel=1e-13)
-    assert domain.family == f"lambda-{spec.case}{spec.branch}"
     forbidden = domain.forbidden
     bound = domain.bound_value
     # open at both ends: at 0 and at the bound the profile is a constant,
@@ -521,6 +520,71 @@ def test_switching_midpoint_matches_scan_oracle_on_edge_cases():
         _shifted_kink(39.0),
         _shifted_kink(41.0),
     ):
+        _oracle_agrees(sol)
+
+
+def _level_solve_midpoint(solution):
+    """The midpoint as a level crossing: (n_u - m*d_u)*u + (n_1 - m*d_1) = 0.
+
+    m is the mean of the two levels.  None where a level is infinite or no
+    u > 0 solves it.  switching_midpoint was once written this way; the
+    root is d_1/d_u in exact arithmetic.
+    """
+    p = solution.profile
+    left, right = solution.left_limit, solution.right_limit
+    if not (math.isfinite(left) and math.isfinite(right)):
+        return None
+    level = 0.5 * (left + right)
+    c_u, c_1 = p.num_u - level * p.den_u, p.num_1 - level * p.den_1
+    if c_u == 0.0 or -c_1 / c_u <= 0.0:
+        return None
+    return p.xi0 + math.log(-c_1 / c_u) / p.rate
+
+
+# a profile coefficient: 0 one time in ten, else +-10**t with t uniform in [-8, 8]
+_COEFFICIENT = st.tuples(st.integers(0, 9), log_uniform(-8.0, 8.0)).map(
+    lambda t: 0.0 if t[0] == 0 else t[1]
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    coefs=st.tuples(*[_COEFFICIENT] * 4),
+    rate=log_uniform(-3.0, 3.0),
+    xi0=st.floats(-5.0, 5.0),
+)
+def test_centre_is_the_pole_or_the_midpoint(coefs, rate, xi0):
+    try:
+        p = MobiusExpProfile(*coefs, rate, xi0)
+    except ValueError:
+        assume(False)  # a constant, not a kink
+    sol = KinkSolution("raw", ModelParams(1.0, 1.0), None, None, p)
+    centre = p.centre()
+    if p.den_u == 0.0 or p.den_1 == 0.0:
+        # an infinite level: no centre, no pole, no midpoint
+        assert centre is None
+        assert p.pole_xis() == ()
+        with pytest.raises(NoCrossing):
+            switching_midpoint(sol)
+        return
+    width = 1.0 / abs(rate)
+    poled = (p.den_u < 0.0) != (p.den_1 < 0.0)
+    if poled:
+        assert p.pole_xis() == (centre,)
+        with pytest.raises(NoCrossing):
+            switching_midpoint(sol)
+        # |log|d_1/d_u|| <= log(1e16): the pole is within 37 widths of xi0,
+        # inside the scan's default range
+        (found,) = singularity_scan(sol)
+        assert abs(found - centre) <= 1e-10 + 8.0 * np.finfo(float).eps * max(abs(centre), width)
+    else:
+        assert p.pole_xis() == ()
+        assert switching_midpoint(sol) == centre
+    # both level oracles cancel as the levels close in, as max|level|/|left - right|
+    left, right = sol.left_limit, sol.right_limit
+    if abs(left - right) >= 1e-3 * max(abs(left), abs(right)):
+        if not poled:
+            assert abs(centre - _level_solve_midpoint(sol)) <= 1e-12 * max(1.0, width)
         _oracle_agrees(sol)
 
 

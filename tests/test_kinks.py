@@ -27,7 +27,13 @@ from glkinks.kinks import (
     montroll_solution,
     undriven_solution,
 )
-from glkinks.model import SQRT2, ModelParams, driven_setup, undriven_rho
+from glkinks.model import (
+    SQRT2,
+    ModelParams,
+    driven_setup,
+    epsilon_admissible_interval,
+    undriven_rho,
+)
 from glkinks.verify import integrate_riccati, residual
 
 from conftest import log_uniform, one_pass_kernel
@@ -559,6 +565,71 @@ def test_lambda_members_keep_the_particular_levels(a1, b1, t, case, branch, vari
     particular = driven_solution(setup, case, branch)
     assert member.forced_rho == particular.forced_rho
     _assert_levels_of_particular(member, particular, setup.rate(case) / SQRT2)
+
+
+def _unit_and_scaled(kind, a1, b1, index, case, branch, variant, t, ratio):
+    """One constructor's member at a1 = b1 = 1 and at (a1, b1), with inputs scaled.
+
+    With M = sqrt(a1/b1), epsilon scales as M, a driven lambda as 1/M and
+    a zero-field lambda as 1/sqrt(a1).  t places epsilon in the driven
+    window at unit coefficients; ratio is lambda over the window bound.
+    """
+    m, sa = math.sqrt(a1 / b1), math.sqrt(a1)
+    unit, params = ModelParams(1.0, 1.0), ModelParams(a1, b1)
+    if kind == "undriven":
+        return undriven_solution(unit, index), undriven_solution(params, index)
+    if kind == "lambda-zero-field":
+        lam = (-1.0 if branch == "+" else 1.0) * ratio
+        return (
+            lambda_zero_field_solution(unit, branch, variant, lam),
+            lambda_zero_field_solution(params, branch, variant, lam / sa),
+        )
+    window = epsilon_admissible_interval(1.0, 1.0, case, branch)
+    eps = window.lower + t * (window.upper - window.lower)
+    small, big = driven_setup(1.0, 1.0, eps), driven_setup(a1, b1, m * eps)
+    if kind == "driven":
+        return driven_solution(small, case, branch), driven_solution(big, case, branch)
+    lam = ratio * small.lambda_bound(case, branch)
+    return (
+        lambda_driven_solution(small, case, branch, lam),
+        lambda_driven_solution(big, case, branch, lam / m),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(("undriven", "lambda-zero-field", "driven", "lambda-driven")),
+    a1=log_uniform(-100.0, 100.0).map(abs),
+    b1=log_uniform(-100.0, 100.0).map(abs),
+    index=st.integers(1, 4),
+    case=st.sampled_from(("I", "II")),
+    branch=st.sampled_from(("+", "-")),
+    variant=st.sampled_from(("first", "second")),
+    t=st.floats(0.05, 0.95),
+    # lambda / lam_b: inside the window (0, 1) and on either side of it
+    ratio=st.floats(0.01, 0.99) | st.floats(1.01, 100.0) | st.floats(-100.0, -0.01),
+)
+def test_scale_covariance(kind, a1, b1, index, case, branch, variant, t, ratio):
+    # psi solves the equation at (a1, b1) exactly when psi(X/k)/M solves it
+    # at (1, 1), k = sqrt(a1): psi_{a1,b1}(c + X/k) = M*psi_{1,1}(c' + X)
+    # about the two profiles' centres c and c'.  montroll_solution and
+    # general_riccati take no a1, b1.
+    try:
+        unit, scaled = _unit_and_scaled(kind, a1, b1, index, case, branch, variant, t, ratio)
+    except NonPositiveRate:
+        assume(False)
+    m, k = math.sqrt(a1 / b1), math.sqrt(a1)
+    assert bool(scaled.singularities) == bool(unit.singularities)
+    x = np.linspace(-20.0, 20.0, 41) / unit.width_inverse
+    if unit.singularities:
+        # at least 2 widths from the pole, which is the centre
+        x = x[np.abs(x) * unit.width_inverse >= 2.0]
+    want = m * unit.profile.value(unit.profile.centre() + x)
+    got = scaled.profile.value(scaled.profile.centre() + x / k)
+    # 7.7e-15 at most over 6e4 draws
+    assert np.all(np.abs(got - want) <= 4e-14 * np.maximum(np.abs(want), m))
+    # 5.4e-15*k at most over 6e4 draws
+    assert abs(scaled.forced_rho - k * unit.forced_rho) <= 1e-13 * k
 
 
 def test_zero_field_variant_validation():
