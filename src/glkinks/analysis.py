@@ -6,10 +6,10 @@ midpoint.  For each driven family a window of lambda values produces a pole
 instead of a kink.  This module computes that window and the midpoint in
 closed form and assembles the midpoint-versus-lambda delay curve from them.
 
-The midpoint is the profile's Moebius centre, and a lambda member is its
-particular kink with one coefficient pair scaled by g = 1 - lam_b/lam
-(kinks._lambda_profile), so its centre is the particular's plus
-log|g|/alpha.  The curve therefore obeys the delay law
+The midpoint is the profile's centre xi0 - log|K|/rate, and a lambda
+member is its particular kink with K scaled by 1/g or g, g = 1 - lam_b/lam
+(kinks._member_k), so its centre is the particular's plus log|g|/alpha.
+The curve therefore obeys the delay law
 
     Delta(lam) = xi_mid(lam) - xi_mid(inf) = log(1 - lam_b/lam) / alpha,
 
@@ -21,7 +21,7 @@ tests/test_analysis.py::_delay_law checks delay_curve against it.
 
 singularity_scan is the numeric pole oracle: it locates poles without the
 closed form, to cross-check the ones a constructor reports.  A profile's
-denominator is d_u*u + d_1, affine in u = exp(rate*(xi - xi0)), and u is
+denominator is 1 + K*u, affine in u = exp(rate*(xi - xi0)), and u is
 monotone in xi: it changes sign at most once on any range.  The scan
 therefore evaluates it at the two ends of the range and, if their signs
 differ, bisects that one bracket to an absolute 1e-10.  Every evaluation
@@ -117,7 +117,7 @@ def _bisect(
 def singularity_scan(solution: KinkSolution, xi_range=None) -> tuple[float, ...]:
     """Locate the profile's pole by bisection on its denominator, without the closed form.
 
-    The denominator d_u*u + d_1 is affine in u, which is monotone in xi, so
+    The denominator 1 + K*u is affine in u, which is monotone in xi, so
     it changes sign at most once on xi_range (default +-40 widths around
     xi0): an exact zero at an end is the root, equal signs at both ends
     mean no pole, and otherwise one bisection refines the bracket to
@@ -144,17 +144,15 @@ def singularity_scan(solution: KinkSolution, xi_range=None) -> tuple[float, ...]
 def switching_midpoint(solution: KinkSolution) -> float:
     """Where the profile crosses the level halfway between its two limits.
 
-    That is the profile's Moebius centre (MobiusExpProfile.centre).  Raises
-    NoCrossing when a limit is infinite (d_u or d_1 is 0), when the profile
-    has a pole (it never takes the values between its limits), or when the
-    centre lies more than 40 widths from xi0.
+    That is the profile's centre (MobiusExpProfile.centre).  Raises
+    NoCrossing when the profile has a pole (it never takes the values
+    between its limits) or when the centre lies more than 40 widths from
+    xi0.
     """
     p = solution.profile
-    if p.den_u == 0.0 or p.den_1 == 0.0:
-        raise NoCrossing(f"{solution.family} has no distinct finite asymptotic levels")
     xi = p.centre()
     lo, hi = _default_range(solution)
-    if xi is None or p.pole_xis() or not lo <= xi <= hi:
+    if p.pole_xis() or not lo <= xi <= hi:
         raise NoCrossing(f"{solution.family} never reaches its midpoint level in range")
     return xi
 

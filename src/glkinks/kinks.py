@@ -1,38 +1,38 @@
 """Closed-form kink profiles of the damped double-well traveling-wave equation.
 
-Every family implemented here is a Moebius transform of a single real
-exponential,
+The paper builds every kink by factorization.  The compatible Riccati
+equation y' = c1*y^2 + c2*y of a factor pair has the nonzero fixed point
+A = -c2/c1, and for every real K != 0
 
-    psi(xi) = (n_u * u + n_1) / (d_u * u + d_1),    u = exp(rate*(xi - xi0)),
+    y(xi) = A/(1 + K*exp(-c2*(xi - xi0)))
 
-where xi0, the point u = 1, is not the kink's centre: that is
-MobiusExpProfile.centre(), the pole of a poled kink and the switching
-midpoint of a smooth one.  The form makes the analytic machinery uniform:
-derivatives, asymptotic limits and the centre all come from the same four
-coefficients, and one kernel pass
-(MobiusExpProfile.kernel) evaluates the value and its derivatives together
-from a single exponential.  Every profile is a kink: MobiusExpProfile
-refuses a zero rate and a zero determinant n_u*d_1 - n_1*d_u, the two ways
-the form collapses to a constant, so the profile switches between two
-distinct levels (one of them infinite where a denominator coefficient is
-zero).  A point is singular when it lies within SINGULAR_TOL kink widths of
-the closed-form pole.
-The families are
+solves it.  Every family implemented here is such a y plus a constant
+shift L, so every profile is a MobiusExpProfile that stores five numbers:
 
-  * the two-root kink of the unit cubic (montroll_solution),
+    psi(xi) = L + A/(1 + K*u),    u = exp(rate*(xi - xi0)),  rate = -c2.
+
+Its levels are L and L + A.  Its centre xi0 - log|K|/rate, where |K|*u = 1,
+is the pole when K < 0 and otherwise the switching midpoint, where psi
+takes the mean of the levels.  One kernel pass (MobiusExpProfile.kernel)
+evaluates the value and its derivatives together from a single
+exponential.  A point is singular when it lies within SINGULAR_TOL kink
+widths of the pole.  Every profile is built by _riccati_profile from its
+equation's c1 and c2, the shift and K.  The families are
+
+  * the two-root kink of the unit cubic (montroll_solution): shift a, K = 1,
   * the four basic double-well kinks, two smooth and two with a pole
-    (undriven_solution),
+    (undriven_solution): shift 0, K = +-1/sqrt(b1),
   * the constant-drive kinks of both factorization cases and both front
-    signs (driven_solution),
+    signs (driven_solution): shift -epsilon, K = 1/2,
   * the lambda-indexed generalizations of the basic and constant-drive
     kinks, where lambda is the free constant of the general Riccati
     solution (lambda_zero_field_solution, lambda_driven_solution).  Each
-    member is its particular kink with one coefficient pair scaled by
-    g = 1 - lam_b/lam, lam_b the family's window bound: the kink shifted
-    by log|g|/alpha, or for g < 0 its partner with a pole, between the
-    same two levels (_lambda_profile),
+    member is its particular kink with K scaled by g = 1 - lam_b/lam or by
+    1/g, lam_b the family's window bound: the kink shifted by
+    log|g|/alpha, or for g < 0 its partner with a pole, between the same
+    two levels (_member_k),
   * the general Riccati solution through any initial value
-    (general_riccati): one more Moebius-exponential profile, built from
+    (general_riccati): shift 0 and K from the initial value, built from
     the equation's c1, c2 rather than from a family's closed form, so the
     two derivations can be cross-checked.  It refuses c2 == 0, where the
     solution is rational, as it refuses c1 == 0.
@@ -72,13 +72,14 @@ SINGULAR_TOL = 1e-12
 # temporaries stay in cache and a large grid costs few page faults.
 _BLOCK = 16_384
 
-# Basic kink index of each undriven factor pair ("first+" -> 1, ...), and
-# the friction sign of each index: that of the pair whose particular kink it is
-_BASIC_KINK = {
-    p.removeprefix("undriven-"): int(k.removeprefix("undriven-"))
+# Basic kink index -> the (variant, sign) of the factor_undriven pair whose
+# particular kink it is (1 -> ("first", 1), ...), and the friction sign of
+# each index: that of its pair
+_UNDRIVEN_PAIR = {
+    int(k.removeprefix("undriven-")): (p[len("undriven-"):-1], 1 if p.endswith("+") else -1)
     for p, k in _Y_PARTICULAR.items() if p.startswith("undriven-")
 }
-UNDRIVEN_RHO_SIGNS = {i: 1 if pair.endswith("+") else -1 for pair, i in _BASIC_KINK.items()}
+UNDRIVEN_RHO_SIGNS = {i: s for i, (_, s) in _UNDRIVEN_PAIR.items()}
 
 # lambda_zero_field_solution's variant -> the factor_undriven variant whose
 # particular kink it is built on (the map is tabled in its docstring)
@@ -87,12 +88,13 @@ _OTHER_VARIANT = {"first": "second", "second": "first"}
 
 @dataclass(frozen=True)
 class MobiusExpProfile:
-    """(n_u*u + n_1)/(d_u*u + d_1) with u = exp(rate*(xi - xi0)), a kink.
+    """L + A/(1 + K*u) with u = exp(rate*(xi - xi0)), a kink.
 
-    The coefficients must be finite, the rate nonzero and the determinant
-    w = n_u*d_1 - n_1*d_u nonzero; otherwise the form is a constant and
-    construction raises ValueError.  So every profile switches between two
-    distinct limits (one infinite when d_1 or d_u is zero).
+    The five numbers, the level L + A and the centre must be finite, and
+    rate, A and K nonzero, since any of them 0 makes the form a constant;
+    construction raises ValueError otherwise.  So every profile switches
+    between the finite levels L and L + A, and it has a pole, at its
+    finite centre, exactly when K < 0.
 
     kernel() is the one evaluation path: a single exponential per call
     yields the value and the derivatives up to order 2 together.  value,
@@ -104,19 +106,22 @@ class MobiusExpProfile:
     (pole_xis).  den_at is the denominator at one float, for bisections.
     """
 
-    num_u: float
-    num_1: float
-    den_u: float
-    den_1: float
+    L: float
+    A: float
+    K: float
     rate: float
     xi0: float
 
     def __post_init__(self):
-        fields = (self.num_u, self.num_1, self.den_u, self.den_1, self.rate, self.xi0)
-        if not all(map(math.isfinite, fields)):
+        fields = (self.L, self.A, self.K, self.rate, self.xi0)
+        if not (all(map(math.isfinite, fields)) and math.isfinite(self.L + self.A)):
             raise ValueError(f"profile coefficients must be finite, got {fields}")
-        if self.rate == 0.0 or self.num_u * self.den_1 - self.num_1 * self.den_u == 0.0:
+        if self.rate == 0.0 or self.A == 0.0 or self.K == 0.0:
             raise ValueError(f"profile is a constant, not a kink: {fields}")
+        # centre(), written out: perfbench times every public method call
+        # as a kernel span, and a build is not one
+        if not math.isfinite(self.xi0 - math.log(abs(self.K)) / self.rate):
+            raise ValueError(f"profile centre is beyond the float range: {fields}")
 
     def kernel(self, xi, order: int = 0) -> tuple[np.ndarray, ...]:
         """(psi, psi', psi'')[:order + 1] at xi, each shaped like xi.
@@ -156,34 +161,33 @@ class MobiusExpProfile:
             # and (1, e) where u > 1, so nothing overflows however far out xi is
             a = np.maximum(e, grow)
             b = np.maximum(e, ~grow)
-            if order == 0:
-                del e
-            num = a * self.num_u + b * self.num_1
-            den = a * self.den_u + b * self.den_1
-            # d_1 - d_u*u in the scaling of den, for psi''
-            inner = b * self.den_1 - a * self.den_u if order == 2 else None
+            del e
+            # s = 1/(1 + K*u) and t = K*u/(1 + K*u), both in [0, 1] when K > 0:
+            # psi = L + A*s, psi' = -A*rate*t*s, psi'' = -A*rate^2*t*s*(s - t)
+            q = self.K * a
+            den = b + q
+            s = b / den
             del a, b
-            out = (num / den,)
+            out = (self.L + self.A * s,)
             if order >= 1:
-                w = self.num_u * self.den_1 - self.num_1 * self.den_u
-                den2 = den * den
-                out += (e * (self.rate * w) / den2,)
+                t = q / den
+                ts = t * s
+                out += (ts * (-self.A * self.rate),)
             if order == 2:
-                out += (e * (self.rate * self.rate * w) * inner / (den2 * den),)
+                out += (ts * (s - t) * (-self.A * self.rate * self.rate),)
         return out
 
     def den_at(self, x: float) -> float:
-        """The denominator at one float, in the overflow-free scaling of _pass.
+        """The denominator b + K*a at one float, in the overflow-free scaling of _pass.
 
-        It is off from d_u*u + d_1 by a positive factor, so its sign is the
-        true one.  One of _pass's a and b is exactly 1.0, so den is
-        den_u + e*den_1 on the growing side and e*den_u + den_1 elsewhere.
-        np.exp gives a scalar the same bits as an array element; math.exp
-        does not always.
+        It is 1 + K*u times a positive factor, so its sign is the true one.
+        One of _pass's a and b is exactly 1.0, so it is e + K on the growing
+        side and 1 + K*e elsewhere.  np.exp gives a scalar the same bits as
+        an array element; math.exp does not always.
         """
         z = (x - self.xi0) * self.rate
         e = float(np.exp(-abs(z)))
-        return self.den_u + e * self.den_1 if z > 0.0 else e * self.den_u + self.den_1
+        return e + self.K if z > 0.0 else 1.0 + self.K * e
 
     def value(self, xi):
         """Profile value; elementwise over arrays, no singularity checks."""
@@ -199,9 +203,8 @@ class MobiusExpProfile:
         """Elementwise: is xi within SINGULAR_TOL kink widths of the pole?
 
         The test is |rate*(xi - pole)| <= SINGULAR_TOL at the closed-form
-        pole, so it does not depend on the scale of the coefficients; it
-        is all false for a profile without a pole.  No exponential is
-        evaluated.
+        pole, so it does not depend on the levels; it is all false for a
+        profile without a pole.  No exponential is evaluated.
         """
         x = np.asarray(xi, dtype=float)
         poles = self.pole_xis()
@@ -214,45 +217,27 @@ class MobiusExpProfile:
         reach = SINGULAR_TOL / abs(self.rate)
         return (x >= poles[0] - reach) & (x <= poles[0] + reach)
 
-    def centre(self) -> float | None:
-        """The Moebius centre xi0 + log|d_1/d_u|/rate, or None if d_u or d_1 is 0.
+    def centre(self) -> float:
+        """The centre xi0 - log|K|/rate, where |K|*u = 1.
 
-        There u = |d_1/d_u|: the pole when d_u and d_1 have opposite signs,
-        and otherwise the switching midpoint, where the profile takes the
-        mean of its two levels.  It is None as well where d_1/d_u
-        underflows to 0, more than 744 widths from xi0.
+        It is the pole when K < 0, and otherwise the switching midpoint,
+        where the profile takes the mean of its two levels.  It is always
+        finite: construction refuses a profile whose centre overflows,
+        which takes |rate| below about 4e-306 or xi0 near the float limit.
         """
-        if self.den_u == 0.0:
-            return None
-        u = abs(self.den_1 / self.den_u)
-        return self.xi0 + math.log(u) / self.rate if u > 0.0 else None
+        return self.xi0 - math.log(abs(self.K)) / self.rate
 
     def pole_xis(self) -> tuple[float, ...]:
-        """Real poles, as xi values: the centre when d_u and d_1 have opposite signs.
-
-        The signs are compared, not multiplied: d_u*d_1 can underflow to 0.
-        """
-        opposite = self.den_u < 0.0 < self.den_1 or self.den_1 < 0.0 < self.den_u
-        centre = self.centre() if opposite else None
-        return () if centre is None else (centre,)
-
-    def _limit_u0(self) -> float:
-        if self.den_1 != 0.0:
-            return self.num_1 / self.den_1
-        return math.copysign(math.inf, self.num_1 * self.den_u)
-
-    def _limit_uinf(self) -> float:
-        if self.den_u != 0.0:
-            return self.num_u / self.den_u
-        return math.copysign(math.inf, self.num_u * self.den_1)
+        """Real poles, as xi values: the centre when K < 0, none otherwise."""
+        return (self.centre(),) if self.K < 0.0 else ()
 
     def left_limit(self) -> float:
-        """Limit as xi -> -inf."""
-        return self._limit_u0() if self.rate > 0.0 else self._limit_uinf()
+        """Limit as xi -> -inf: L + A where u -> 0 there (rate > 0), else L."""
+        return self.L + self.A if self.rate > 0.0 else self.L
 
     def right_limit(self) -> float:
         """Limit as xi -> +inf."""
-        return self._limit_uinf() if self.rate > 0.0 else self._limit_u0()
+        return self.L if self.rate > 0.0 else self.L + self.A
 
 
 @dataclass(frozen=True)
@@ -328,30 +313,55 @@ class KinkSolution:
     __call__ = evaluate
 
 
+def _riccati_profile(c1: float, c2: float, shift: float, K: float, xi0: float) -> MobiusExpProfile:
+    """shift + A/(1 + K*exp(-c2*(xi - xi0))) with A = -c2/c1, the one way profiles are built.
+
+    The second term solves y' = c1*y^2 + c2*y for every K, with A the
+    equation's nonzero fixed point.  c1 and c2 are passed as plain floats,
+    the bits compatible_riccati gives for the family's factor pair, so
+    that no FactorPair is built per solution.
+    """
+    return MobiusExpProfile(shift, -c2 / c1, K, -c2, xi0)
+
+
+def _member_k(K: float, rate: float, alpha: float, g: float) -> float:
+    """A lambda member's K: its particular kink's, scaled by 1/g or g.
+
+    g = 1 - lam_b/lam, and alpha is the rate of the family's "+" member.
+    The centre xi0 - log|K|/rate moves by log|g|/alpha: 1/g does that where
+    rate/alpha > 0 and g where rate/alpha < 0.  The levels do not move, and
+    for g < 0 the member is the partner with a pole.  g == 0, where lambda
+    rounds to lam_b, is refused: the member is a constant there.
+    """
+    if g == 0.0:
+        raise ValueError("lambda rounds to the window bound: the profile is a constant")
+    return K / g if rate / alpha > 0.0 else K * g
+
+
 def montroll_solution(a: float, b: float, xi0: float = 0.0) -> KinkSolution:
     """Two-root kink of the unit cubic: a + sqrt(2)*alpha/(1 + e^(alpha*xi)).
 
     a and b must be two distinct roots of psi^3 - psi; the third root
     d = -(a + b) fixes the friction to (a + b - 2*d)/sqrt(2) = 3*(a+b)/sqrt(2).
+    Its Riccati equation has c1 = 1/sqrt(2) and c2 = -alpha, and K = 1.
     """
     alpha, valid = montroll_roots(a, b, -(a + b))
     if not valid or a == b:
         raise ValueError(f"(a, b) = ({a}, {b}) are not two distinct roots of psi^3 - psi")
     rho = 3.0 * (a + b) / SQRT2
-    profile = MobiusExpProfile(
-        num_u=a, num_1=a + SQRT2 * alpha, den_u=1.0, den_1=1.0, rate=alpha, xi0=xi0
-    )
+    profile = _riccati_profile(1.0 / SQRT2, -alpha, a, 1.0, xi0)
     return KinkSolution("montroll", ModelParams(1.0, 1.0, rho), None, None, profile)
 
 
-def _basic_kink(params: ModelParams, index: int) -> tuple[ModelParams, tuple[float, ...]]:
-    """A basic kink's equation, its rho forced, and (n_u, n_1, d_u, d_1, rate)."""
-    sa = math.sqrt(params.a1)
-    alpha = sa / SQRT2
-    rate = alpha if index in (1, 4) else -alpha
-    den_1 = math.sqrt(params.b1) if index in (1, 2) else -math.sqrt(params.b1)
-    rho = undriven_rho(params.a1, UNDRIVEN_RHO_SIGNS[index])
-    return ModelParams(params.a1, params.b1, rho), (0.0, sa, 1.0, den_1, rate)
+def _undriven_riccati(params: ModelParams, variant: str, s: int) -> tuple[float, float, float]:
+    """c1 and c2 of factor_undriven(a1, b1, variant, s) and K of its particular kink.
+
+    K is 1/sqrt(b1) for "first", whose kinks 1 and 2 are smooth, and
+    -1/sqrt(b1) for "second", whose kinks 3 and 4 have a pole.
+    """
+    v = 1.0 if variant == "first" else -1.0
+    sb = math.sqrt(params.b1)
+    return v * s * sb / SQRT2, -s * math.sqrt(params.a1) / SQRT2, v / sb
 
 
 def undriven_solution(params: ModelParams, index: int, xi0: float = 0.0) -> KinkSolution:
@@ -359,28 +369,19 @@ def undriven_solution(params: ModelParams, index: int, xi0: float = 0.0) -> Kink
 
     Indices 1 and 2 are the smooth mirror pair running between
     sqrt(a1/b1) and 0; indices 3 and 4 run between -sqrt(a1/b1) and 0 and
-    carry one real pole each.  The friction value is forced by the
-    factorization (params.rho is not consulted); its sign per index is
-    UNDRIVEN_RHO_SIGNS.
+    carry one real pole each.  Each is the particular kink of one
+    factor_undriven pair (_UNDRIVEN_PAIR), whose sign is that of the
+    friction value (UNDRIVEN_RHO_SIGNS); the value is forced by the
+    factorization, and params.rho is not consulted.
     """
     validate_params(params)
-    if index not in (1, 2, 3, 4):
+    if index not in _UNDRIVEN_PAIR:
         raise ValueError(f"index must be 1..4, got {index}")
-    forced, coefficients = _basic_kink(params, index)
-    profile = MobiusExpProfile(*coefficients, xi0)
+    variant, s = _UNDRIVEN_PAIR[index]
+    c1, c2, k = _undriven_riccati(params, variant, s)
+    forced = ModelParams(params.a1, params.b1, undriven_rho(params.a1, s))
+    profile = _riccati_profile(c1, c2, 0.0, k, xi0)
     return KinkSolution(f"undriven-{index}", forced, None, None, profile)
-
-
-def _driven_kink(setup: DrivenSetup, case: str, sign: int) -> tuple[ModelParams, tuple[float, ...]]:
-    """A driven kink's equation, its rho forced, and (n_u, n_1, d_u, d_1, rate)."""
-    r = setup.rate(case)
-    eps = setup.epsilon
-    forced = ModelParams(
-        setup.a1, setup.b1, setup.rho(case, sign), gamma1=1.0, eta=setup.eta_times_gamma1
-    )
-    # (2r/sqrt(b1))/(2 + u), downshifted by epsilon
-    num_1 = 2.0 * r / math.sqrt(setup.b1) - eps * 2.0
-    return forced, (0.0 - eps, num_1, 1.0, 2.0, -sign * r / SQRT2)
 
 
 def driven_solution(setup: DrivenSetup, case: str, sign, xi0: float = 0.0) -> KinkSolution:
@@ -388,12 +389,18 @@ def driven_solution(setup: DrivenSetup, case: str, sign, xi0: float = 0.0) -> Ki
 
     In the shifted variable the profile is (2r/sqrt(b1))/(2 + e^(-s*r*(xi-xi0)/sqrt(2)))
     with r = r_plus (case I) or r_minus (case II); the returned solution is
-    downshifted back by epsilon.  Smooth for every parameter choice.
+    downshifted back by epsilon.  Smooth for every parameter choice: K = 1/2.
     """
     c = _as_case(case)
     s = _as_sign(sign)
-    forced, coefficients = _driven_kink(setup, c, s)
-    profile = MobiusExpProfile(*coefficients, xi0)
+    r = setup.rate(c)
+    forced = ModelParams(
+        setup.a1, setup.b1, setup.rho(c, s), gamma1=1.0, eta=setup.eta_times_gamma1
+    )
+    # c1 and c2 of factor_driven(setup, c, s)
+    profile = _riccati_profile(
+        -s * math.sqrt(setup.b1) / SQRT2, s * r / SQRT2, -setup.epsilon, 0.5, xi0
+    )
     return KinkSolution(f"driven-{c}{'+' if s > 0 else '-'}", forced, setup, None, profile)
 
 
@@ -404,23 +411,6 @@ def _check_lambda(lam: float, bound: float):
         raise ValueError(f"lambda must be finite and nonzero, got {lam!r}")
     if lam == bound:
         raise ValueError(f"lambda = {lam!r} is the window bound: the profile is a constant")
-
-
-def _lambda_profile(coefficients, alpha: float, g: float, xi0: float) -> MobiusExpProfile:
-    """A lambda member: its particular kink with one coefficient pair scaled by g.
-
-    g = 1 - lam_b/lam.  The member is the particular kink shifted by
-    log|g|/alpha (alpha, the rate of the family's "+" member), or for g < 0
-    its partner, which has the same levels and a pole.  Without the log the
-    shift scales by g the pair that dominates as alpha*xi -> -inf; the other
-    pair, and the level it gives, stay the particular's.
-    """
-    num_u, num_1, den_u, den_1, rate = coefficients
-    if rate / alpha > 0.0:
-        num_1, den_1 = g * num_1, g * den_1
-    else:
-        num_u, den_u = g * num_u, g * den_u
-    return MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
 
 
 def lambda_zero_field_solution(
@@ -449,10 +439,11 @@ def lambda_zero_field_solution(
     s = _as_sign(branch)
     sa = math.sqrt(params.a1)
     _check_lambda(lam, -s / sa)
-    tag = "+" if s > 0 else "-"
-    forced, coefficients = _basic_kink(params, _BASIC_KINK[_OTHER_VARIANT[variant] + tag])
+    c1, c2, k = _undriven_riccati(params, _OTHER_VARIANT[variant], s)
+    forced = ModelParams(params.a1, params.b1, undriven_rho(params.a1, s))
     t = lam * sa
-    profile = _lambda_profile(coefficients, sa / SQRT2, (t + s) / t, xi0)
+    profile = _riccati_profile(c1, c2, 0.0, _member_k(k, -c2, sa / SQRT2, (t + s) / t), xi0)
+    tag = "+" if s > 0 else "-"
     return KinkSolution(f"lambda-zero-field-{variant}{tag}", forced, None, lam, profile)
 
 
@@ -471,12 +462,17 @@ def lambda_driven_solution(
     c = _as_case(case)
     s = _as_sign(branch)
     _check_lambda(lam, setup.lambda_bound(c, s))
-    forced, coefficients = _driven_kink(setup, c, s)
     r = setup.rate(c)
+    sb = math.sqrt(setup.b1)
+    forced = ModelParams(
+        setup.a1, setup.b1, setup.rho(c, s), gamma1=1.0, eta=setup.eta_times_gamma1
+    )
     # g = 1 - lam_b/lam as (t - s*sqrt(b1))/t: through the rounded lam_b it
     # errs 6.9e-14 of the levels at figure 4's lam = 0.53, against 1.5e-15
     t = 2.0 * lam * r
-    profile = _lambda_profile(coefficients, r / SQRT2, (t - s * math.sqrt(setup.b1)) / t, xi0)
+    c2 = s * r / SQRT2
+    k = _member_k(0.5, -c2, r / SQRT2, (t - s * sb) / t)
+    profile = _riccati_profile(-s * sb / SQRT2, c2, -setup.epsilon, k, xi0)
     return KinkSolution(f"lambda-{c}{'+' if s > 0 else '-'}", forced, setup, lam, profile)
 
 
@@ -544,21 +540,22 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
     built around (any real number; 0 selects the trivial solution).  The
     paper writes the result as y1(xi) + exp(I1)/(lam - c1*I2); it is the
     solution through y(xi0) = y1 + 1/lam = g/lam with g = lam*y1 + 1, so
-    it is one Moebius-exponential profile, evaluated by its kernel:
+    it is one profile of _riccati_profile, with shift 0 and
 
-        y = c2*g*u / (c1*g*(1 - u) + c2*lam),    u = exp(c2*(xi - xi0)).
+        K = A*lam/g - 1,    A = -c2/c1,
 
-    As lam -> +-inf it collapses to the particular solution; lam = 0 is the
-    solution with its pole at xi0.  The two constant solutions, 0 (g == 0)
-    and the fixed point -c2/c1 (c1*g + c2*lam == 0), are no kink, so they
-    are returned without building a profile.
+    evaluated by its kernel.  As lam -> +-inf it collapses to the
+    particular solution; lam = 0 is the solution with its pole at xi0
+    (K = -1).  The two constant solutions, 0 (g == 0) and the fixed point
+    A (K == 0), are no kink, so they are returned without building a
+    profile.
 
     Raises
     ------
     ValueError
-        If c1 or c2 is zero or c1, c2, y1, lam or xi0 is not finite.  With
-        c2 == 0 the solution is rational, not a Moebius-exponential
-        profile, and no family of the catalogue has it.
+        If c1 or c2 is zero, if c1, c2, y1, lam or xi0 is not finite, or if
+        K or the centre overflows.  With c2 == 0 the solution is rational, not a
+        Moebius-exponential profile, and no family of the catalogue has it.
     SingularPoint
         Where the general solution has a pole.  A pole of the particular
         solution through y1 is removable in the general one, which is
@@ -571,15 +568,12 @@ def general_riccati(c1: float, c2: float, y1: float, lam: float, xi0: float, xi)
         raise ValueError(f"c1 and c2 must be nonzero, got ({c1}, {c2})")
     x = np.asarray(xi, dtype=float)
     g = lam * y1 + 1.0
-    den_1 = c1 * g + c2 * lam
-    if c2 * g * den_1 == 0.0:
-        # the constant solutions 0 (g == 0) and -c2/c1 (den_1 == 0) are no
-        # kink; g is tested first, since den_1 = c2*lam can underflow to 0
-        # with it.  copysign(0.0, den_1) is 0.0/den_1 where den_1 != 0.
-        fixed_point = g != 0.0 and den_1 == 0.0
-        vals = np.full(x.shape, c2 * g / (-c1 * g) if fixed_point else math.copysign(0.0, den_1))
+    if g == 0.0:
+        vals = np.zeros(x.shape)
+    elif (k := -c2 / c1 * lam / g - 1.0) == 0.0:
+        vals = np.full(x.shape, -c2 / c1)
     else:
-        profile = MobiusExpProfile(c2 * g, 0.0, -c1 * g, den_1, c2, xi0)
+        profile = _riccati_profile(c1, c2, 0.0, k, xi0)
         bad = profile.is_singular(x)
         if np.any(bad):
             raise SingularPoint("lambda denominator vanishes", xi=_first_offender(x, bad))

@@ -155,7 +155,7 @@ def driven_setup(a1: float, b1: float, epsilon: float) -> DrivenSetup:
     ComplexDelta
         If 4*a1 - 3*b1*eps^2 < 0 beyond rounding slack.
     ValueError
-        If epsilon is not finite.
+        If epsilon or the drive a1*eps - b1*eps^3 is not finite.
     """
     validate_params(ModelParams(a1, b1))
     if not math.isfinite(epsilon):
@@ -168,6 +168,12 @@ def driven_setup(a1: float, b1: float, epsilon: float) -> DrivenSetup:
             raise ComplexDelta(
                 f"4*a1 - 3*b1*eps^2 = {delta} < 0 for eps={epsilon}: roots are complex"
             )
+    try:
+        drive = a1 * epsilon - b1 * epsilon**3
+    except OverflowError:  # float ** raises where * would give inf
+        drive = math.inf
+    if not math.isfinite(drive):
+        raise ValueError(f"the drive a1*eps - b1*eps^3 is not finite for eps={epsilon}")
     sqrt_delta = math.sqrt(delta)
     sb = math.sqrt(b1)
     r_plus = (3.0 * sb * epsilon + sqrt_delta) / 2.0
@@ -176,7 +182,7 @@ def driven_setup(a1: float, b1: float, epsilon: float) -> DrivenSetup:
         a1=a1,
         b1=b1,
         epsilon=epsilon,
-        eta_times_gamma1=a1 * epsilon - b1 * epsilon**3,
+        eta_times_gamma1=drive,
         delta_eps=delta,
         r_plus=r_plus,
         r_minus=r_minus,

@@ -60,13 +60,11 @@ def verification_grid(
     """Grid of n points spanning +-40 kink widths around the kink's centre.
 
     The centre is MobiusExpProfile.centre(): the switching midpoint, or the
-    pole of a poled kink; xi0 where it has none.  Points closer than
-    margin_widths widths to any pole are removed, so the grid is safe for
-    both derivative modes.
+    pole of a poled kink.  Points closer than margin_widths widths to any
+    pole are removed, so the grid is safe for both derivative modes.
     """
     w = 1.0 / solution.width_inverse
-    centre = solution.profile.centre()
-    xi = (solution.xi0 if centre is None else centre) + np.linspace(-40.0 * w, 40.0 * w, int(n))
+    xi = solution.profile.centre() + np.linspace(-40.0 * w, 40.0 * w, int(n))
     keep = np.ones(xi.size, dtype=bool)
     for pole in solution.singularities:
         keep &= np.abs(xi - pole) > margin_widths * w

@@ -24,8 +24,8 @@ def one_pass_kernel(p, xi, order):
     """The profile kernel as one pass over the whole array: (value, *derivatives, den).
 
     The reference that MobiusExpProfile.kernel's blocks and den_at must
-    match bit for bit; den is the denominator in the kernel's
-    overflow-free scaling, which the kernel itself does not return.
+    match bit for bit; den = b + K*a is the denominator 1 + K*u in the
+    kernel's overflow-free scaling, which the kernel itself does not return.
     """
     x = np.asarray(xi, dtype=float)
     z = (x.reshape(-1) - p.xi0) * p.rate
@@ -34,15 +34,13 @@ def one_pass_kernel(p, xi, order):
         e = np.exp(np.copysign(z, -1.0))
         a = np.maximum(e, grow)
         b = np.maximum(e, ~grow)
-        num = a * p.num_u + b * p.num_1
-        den = a * p.den_u + b * p.den_1
-        inner = b * p.den_1 - a * p.den_u
-        w = p.num_u * p.den_1 - p.num_1 * p.den_u
-        value = num / den
-        den2 = den * den
+        q = p.K * a
+        den = b + q
+        s, t = b / den, q / den
+        value = p.L + p.A * s
         derivatives = [
-            e * (p.rate * w) / den2,
-            e * (p.rate * p.rate * w) * inner / (den2 * den),
+            t * s * (-p.A * p.rate),
+            t * s * (s - t) * (-p.A * p.rate * p.rate),
         ][:order]
     return [arr.reshape(x.shape) for arr in (value, *derivatives, den)]
 

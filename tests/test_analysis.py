@@ -154,11 +154,11 @@ def test_singularity_scan_smooth_and_out_of_range():
 
 @pytest.mark.parametrize("end", [0, 1])
 def test_singularity_scan_exact_zero_at_an_end(end):
-    # (u + 1)/(1 - u) has its pole at u = 1, i.e. at xi0, where den_at is
+    # -1 + 2/(1 - u) has its pole at u = 1, i.e. at xi0, where den_at is
     # exactly 0.0: the end itself is the root.  A bisection from lo would
     # stop short of it, and at hi the signs 0 and + would read as no pole.
     xi_range = (-2.0, 3.0)
-    profile = MobiusExpProfile(1.0, 1.0, -1.0, 1.0, 1.5, xi_range[end])
+    profile = MobiusExpProfile(-1.0, 2.0, -1.0, 1.5, xi_range[end])
     sol = KinkSolution("pole-at-an-end", ModelParams(1.0, 1.0), None, None, profile)
     assert profile.den_at(xi_range[end]) == 0.0
     assert profile.pole_xis() == (xi_range[end],)
@@ -271,21 +271,13 @@ def test_switching_midpoint_basic_kink():
     assert xi_mid == pytest.approx(0.0, abs=1e-9)
 
 
-def _infinite_limit_kink():
-    # (u + 1)/u: psi -> +inf as xi -> -inf, so no finite midpoint level
-    profile = MobiusExpProfile(1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
-    return KinkSolution("infinite-limit", ModelParams(1.0, 1.0), None, None, profile)
-
-
 def test_constant_profile_is_refused():
-    # -2(u + 1)/(u + 1) is no kink: the profile type itself refuses it
+    # -2 + 0/(1 + u) is no kink: the profile type itself refuses it
     with pytest.raises(ValueError, match="constant"):
-        MobiusExpProfile(-2.0, -2.0, 1.0, 1.0, 1.0, 0.0)
+        MobiusExpProfile(-2.0, 0.0, 1.0, 1.0, 0.0)
 
 
 def test_switching_midpoint_no_crossing_cases():
-    with pytest.raises(NoCrossing):
-        switching_midpoint(_infinite_limit_kink())
     poled = undriven_solution(ModelParams(1.0, 1.0), 3)
     # the midpoint level lies between the branches, never on the profile
     with pytest.raises(NoCrossing):
@@ -435,8 +427,8 @@ def _scan_midpoint(solution):
     switching_midpoint must.
     """
     left, right = solution.left_limit, solution.right_limit
-    if not (math.isfinite(left) and math.isfinite(right)) or left == right:
-        raise NoCrossing("no distinct finite limits")
+    if left == right:
+        raise NoCrossing("no distinct limits")
     level = 0.5 * (left + right)
     lo, hi = _default_range(solution)
     f = lambda x: solution.profile.value(x) - level  # noqa: E731
@@ -504,8 +496,8 @@ def test_switching_midpoint_matches_scan_oracle(
 
 
 def _shifted_kink(xi_mid):
-    c = math.exp(xi_mid)
-    profile = MobiusExpProfile(1.0, -c, 1.0, c, 1.0, 0.0)
+    # (u - c)/(u + c) = 1 - 2/(1 + u/c), c = exp(xi_mid)
+    profile = MobiusExpProfile(1.0, -2.0, math.exp(-xi_mid), 1.0, 0.0)
     return KinkSolution("shifted", ModelParams(1.0, 1.0), None, None, profile)
 
 
@@ -514,7 +506,6 @@ def test_switching_midpoint_matches_scan_oracle_on_edge_cases():
     for sol in (
         undriven_solution(params, 1),
         undriven_solution(params, 3),  # pole: no crossing
-        _infinite_limit_kink(),
         lambda_zero_field_solution(params, "+", "first", 1.0),
         # (u - c)/(u + c) crosses 0 at xi = log(c): 39 widths out, then 41
         _shifted_kink(39.0),
@@ -523,69 +514,43 @@ def test_switching_midpoint_matches_scan_oracle_on_edge_cases():
         _oracle_agrees(sol)
 
 
-def _level_solve_midpoint(solution):
-    """The midpoint as a level crossing: (n_u - m*d_u)*u + (n_1 - m*d_1) = 0.
-
-    m is the mean of the two levels.  None where a level is infinite or no
-    u > 0 solves it.  switching_midpoint was once written this way; the
-    root is d_1/d_u in exact arithmetic.
-    """
-    p = solution.profile
-    left, right = solution.left_limit, solution.right_limit
-    if not (math.isfinite(left) and math.isfinite(right)):
-        return None
-    level = 0.5 * (left + right)
-    c_u, c_1 = p.num_u - level * p.den_u, p.num_1 - level * p.den_1
-    if c_u == 0.0 or -c_1 / c_u <= 0.0:
-        return None
-    return p.xi0 + math.log(-c_1 / c_u) / p.rate
-
-
-# a profile coefficient: 0 one time in ten, else +-10**t with t uniform in [-8, 8]
-_COEFFICIENT = st.tuples(st.integers(0, 9), log_uniform(-8.0, 8.0)).map(
-    lambda t: 0.0 if t[0] == 0 else t[1]
-)
-
-
 @settings(deadline=None, max_examples=300)
 @given(
-    coefs=st.tuples(*[_COEFFICIENT] * 4),
+    level=st.floats(-1e3, 1e3),
+    amplitude=log_uniform(-3.0, 3.0),
+    k=log_uniform(-300.0, 300.0),
     rate=log_uniform(-3.0, 3.0),
     xi0=st.floats(-5.0, 5.0),
 )
-def test_centre_is_the_pole_or_the_midpoint(coefs, rate, xi0):
-    try:
-        p = MobiusExpProfile(*coefs, rate, xi0)
-    except ValueError:
-        assume(False)  # a constant, not a kink
+def test_centre_is_the_pole_or_the_midpoint(level, amplitude, k, rate, xi0):
+    # K log-uniform over the float range, either sign: the centre
+    # xi0 - log|K|/rate is finite, the pole exactly when K < 0 and
+    # otherwise the midpoint, up to 690 widths from xi0
+    p = MobiusExpProfile(level, amplitude, k, rate, xi0)
     sol = KinkSolution("raw", ModelParams(1.0, 1.0), None, None, p)
     centre = p.centre()
-    if p.den_u == 0.0 or p.den_1 == 0.0:
-        # an infinite level: no centre, no pole, no midpoint
-        assert centre is None
-        assert p.pole_xis() == ()
-        with pytest.raises(NoCrossing):
-            switching_midpoint(sol)
-        return
+    assert type(centre) is float and math.isfinite(centre)
+    poled = k < 0.0
+    assert p.pole_xis() == ((centre,) if poled else ())
+    assert bool(p.is_singular(centre)) == poled
     width = 1.0 / abs(rate)
-    poled = (p.den_u < 0.0) != (p.den_1 < 0.0)
+    found = singularity_scan(sol, (centre - 10.0 * width, centre + 10.0 * width))
     if poled:
-        assert p.pole_xis() == (centre,)
+        (pole,) = found
+        assert abs(pole - centre) <= 1e-10 + 8.0 * np.finfo(float).eps * max(abs(centre), width)
+    else:
+        assert found == ()
+    lo, hi = _default_range(sol)
+    if poled or not lo <= centre <= hi:
         with pytest.raises(NoCrossing):
             switching_midpoint(sol)
-        # |log|d_1/d_u|| <= log(1e16): the pole is within 37 widths of xi0,
-        # inside the scan's default range
-        (found,) = singularity_scan(sol)
-        assert abs(found - centre) <= 1e-10 + 8.0 * np.finfo(float).eps * max(abs(centre), width)
     else:
-        assert p.pole_xis() == ()
         assert switching_midpoint(sol) == centre
-    # both level oracles cancel as the levels close in, as max|level|/|left - right|
-    left, right = sol.left_limit, sol.right_limit
-    if abs(left - right) >= 1e-3 * max(abs(left), abs(right)):
-        if not poled:
-            assert abs(centre - _level_solve_midpoint(sol)) <= 1e-12 * max(1.0, width)
-        _oracle_agrees(sol)
+    # the numeric midpoint cancels as the levels close in, as
+    # max|level|/|left - right|, and is ambiguous at the edge of its range
+    assume(abs(amplitude) >= 1e-3 * max(abs(level), abs(level + amplitude)))
+    assume(abs(abs(centre - xi0) / width - 40.0) > 1e-6)
+    _oracle_agrees(sol)
 
 
 def _read_delay_golden(name):
@@ -653,26 +618,26 @@ _coef = st.floats(-5.0, 5.0, allow_nan=False)
 
 @settings(deadline=None, max_examples=300)
 @given(
-    coefs=st.tuples(_coef, _coef, _coef, _coef),
+    coefs=st.tuples(_coef, _coef, _coef),
     rate=st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
     xi0=st.floats(-5.0, 5.0),
     use_den=st.booleans(),
-    level=_coef,
+    crossing=_coef,
     lo=st.floats(-20.0, 20.0),
     log_width=st.floats(-12.0, 2.0),
     tol=st.sampled_from([1e-10, 1e-14, 1e-3, 0.0]),
 )
 def test_bisect_matches_one_point_bisection(
-    coefs, rate, xi0, use_den, level, lo, log_width, tol
+    coefs, rate, xi0, use_den, crossing, lo, log_width, tol
 ):
-    num_u, num_1, den_u, den_1 = coefs
-    assume(num_u * den_1 - num_1 * den_u != 0.0)  # a kink, not a constant
-    profile = MobiusExpProfile(*coefs, rate, xi0)
+    level, amplitude, k = coefs
+    assume(amplitude != 0.0 and k != 0.0)  # a kink, not a constant
+    profile = MobiusExpProfile(level, amplitude, k, rate, xi0)
     if use_den:
         f = lambda x: one_pass_kernel(profile, x, 0)[-1]  # noqa: E731
         f_at = profile.den_at
     else:
-        f = f_at = lambda x: profile.value(x) - level  # noqa: E731
+        f = f_at = lambda x: profile.value(x) - crossing  # noqa: E731
     hi = lo + 10.0**log_width
     want = _plain_bisect(f, lo, hi, tol)
     assert _bisect(f_at, lo, hi, tol).hex() == want.hex()

@@ -313,6 +313,24 @@ def test_eval_rejects_complex_delta(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # eps**3 overflows, and float ** raises where * would give inf
+        ["families", "--a1", "1e67", "--b1", "1e-167", "--epsilon", "1.1e117"],
+        # a1*eps and b1*eps**3 both overflow to -inf, and their difference is nan
+        ["eval", "--a1", "1e276", "--b1", "1e113", "--epsilon", "-2e81", "--case", "II",
+         "--branch", "-", "--grid=-1:1:3"],
+    ],
+    ids=["families", "eval"],
+)
+def test_overflowing_drive_is_usage_error(capsys, argv):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2
+    assert "nan" not in out and "Traceback" not in err
+    assert "drive a1*eps - b1*eps^3 is not finite" in err
+
+
+@pytest.mark.parametrize(
     "flag,argv",
     [
         ("--epsilon", ["--a1", "3", "--b1", "0.7", "--epsilon", "nan", "--case", "I",

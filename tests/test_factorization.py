@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glkinks.errors import ComplexDelta
+from glkinks import kinks
+from glkinks.errors import ComplexDelta, NonPositiveRate
 from glkinks.factorization import (
     compatible_riccati,
     factor_driven,
@@ -23,8 +26,17 @@ from glkinks.kinks import (
     lambda_zero_field_solution,
     undriven_solution,
 )
-from glkinks.model import SQRT2, DrivenSetup, ModelParams, driven_setup, undriven_rho
+from glkinks.model import (
+    SQRT2,
+    DrivenSetup,
+    ModelParams,
+    driven_setup,
+    epsilon_admissible_interval,
+    undriven_rho,
+)
 from glkinks.verify import verification_grid
+
+from conftest import log_uniform
 
 _ROOTS = (0.0, 1.0, -1.0)
 
@@ -178,3 +190,74 @@ def test_lambda_zero_field_pairs_with_opposite_factor_variant(
         sol = lambda_zero_field_solution(params, branch, variant, lam)
         assert _riccati_defect(sol, rc) < 1e-10
         assert _riccati_defect(sol, wrong) > 1e-2
+
+
+# ------------------------------------------- the stored form of every kink
+
+
+def test_riccati_form_solves_the_riccati_equation_symbolically():
+    # every profile is shift + A/(1 + K*exp(-c2*z)) with A = -c2/c1: it
+    # solves y' = c1*y^2 + c2*y for every c1, c2 and K
+    c1, c2, k, z = sympy.symbols("c1 c2 K z")
+    y = (-c2 / c1) / (1 + k * sympy.exp(-c2 * z))
+    assert sympy.simplify(sympy.diff(y, z) - c1 * y**2 - c2 * y) == 0
+
+
+# the factor_undriven (variant, sign) whose particular kink each basic kink is
+_UNDRIVEN_PAIRS = {1: ("first", 1), 2: ("first", -1), 3: ("second", -1), 4: ("second", 1)}
+_OTHER_VARIANT = {"first": "second", "second": "first"}
+
+
+def _assert_built_from(build, pair):
+    """build hands pair's Riccati c1, c2 to its profile and forces pair's rho, bit for bit."""
+    with mock.patch.object(kinks, "_riccati_profile", wraps=kinks._riccati_profile) as spy:
+        sol = build()
+    (call,) = spy.call_args_list
+    rc = compatible_riccati(pair)
+    assert [c.hex() for c in call.args[:2]] == [rc.c1.hex(), rc.c2.hex()], pair.label
+    assert sol.forced_rho.hex() == pair.forced_rho.hex(), pair.label
+
+
+def _assert_every_constructor_pinned(a1, b1, setups):
+    params = ModelParams(a1, b1)
+    for index, (variant, sign) in _UNDRIVEN_PAIRS.items():
+        _assert_built_from(
+            lambda: undriven_solution(params, index), factor_undriven(a1, b1, variant, sign)
+        )
+    for variant in ("first", "second"):
+        for branch, sign in (("+", 1), ("-", -1)):
+            pair = factor_undriven(a1, b1, _OTHER_VARIANT[variant], sign)
+            lam = 2.0 / math.sqrt(a1)
+            _assert_built_from(
+                lambda: lambda_zero_field_solution(params, branch, variant, lam), pair
+            )
+    for setup, case, branch in setups:
+        pair = factor_driven(setup, case, branch)
+        lam = 2.0 * setup.lambda_bound(case, branch)
+        _assert_built_from(lambda: driven_solution(setup, case, branch), pair)
+        _assert_built_from(lambda: lambda_driven_solution(setup, case, branch, lam), pair)
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_constructors_pass_the_factor_pair_coefficients_on_figure_sets(fig_id):
+    spec = FIGURES[fig_id]
+    setup = driven_setup(spec.a1, spec.b1, spec.epsilon)
+    _assert_every_constructor_pinned(spec.a1, spec.b1, [(setup, spec.case, spec.branch)])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    a1=log_uniform(-6.0, 6.0).map(abs),
+    b1=log_uniform(-6.0, 6.0).map(abs),
+    t=st.floats(0.05, 0.95),
+    case=st.sampled_from(("I", "II")),
+    branch=st.sampled_from(("+", "-")),
+)
+def test_constructors_pass_the_factor_pair_coefficients(a1, b1, t, case, branch):
+    window = epsilon_admissible_interval(a1, b1, case, branch)
+    setup = driven_setup(a1, b1, window.lower + t * (window.upper - window.lower))
+    try:
+        setup.rate(case)
+    except NonPositiveRate:
+        assume(False)
+    _assert_every_constructor_pinned(a1, b1, [(setup, case, branch)])

@@ -96,6 +96,15 @@ def test_zero_solution_is_zero():
     assert np.all(general_riccati(1.5, -0.7, 0.5, -2.0, 0.0, xi) == 0.0)
 
 
+def test_pole_a_rounding_from_center_raises():
+    # y(xi0) = 1 and the fixed point A is -1e-200, so K = A*lam/g - 1 rounds
+    # to -1 and the pole to xi0.  The true pole is 1e-200 widths from xi0,
+    # well inside SINGULAR_TOL, so both points are singular, not 0.
+    with pytest.raises(SingularPoint) as err:
+        general_riccati(1e-100, 1e-300, 0.0, 1.0, 0.0, [0.0, 1.0])
+    assert err.value.xi == 0.0
+
+
 def test_raises_at_rounded_pole():
     args = (
         64.54603261280148,

@@ -44,40 +44,35 @@ _ROOTS = (0.0, 1.0, -1.0)
 # ---------------------------------------------------------------- profiles
 
 
-def test_profile_rejects_zero_denominator():
+def test_profile_rejects_zero_k():
     with pytest.raises(ValueError, match="constant"):
-        MobiusExpProfile(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        MobiusExpProfile(0.0, 1.0, 0.0, 1.0, 0.0)
 
 
 def test_profile_rejects_a_constant():
     with pytest.raises(ValueError, match="constant"):
-        MobiusExpProfile(2.0, 4.0, 1.0, 2.0, 1.0, 0.0)  # 2(u+2)/(u+2)
-
-
-def _is_kink(num_u, num_1, den_u, den_1, rate):
-    return rate != 0.0 and num_u * den_1 - num_1 * den_u != 0.0
+        MobiusExpProfile(2.0, 0.0, 1.0, 1.0, 0.0)  # 2 + 0/(1 + u)
 
 
 @settings(deadline=None, max_examples=300)
 @given(
-    coefs=st.tuples(*[log_uniform(-6.0, 6.0) | st.just(0.0)] * 4),
+    levels=st.tuples(*[log_uniform(-6.0, 6.0) | st.just(0.0)] * 2),
+    k=log_uniform(-300.0, 300.0) | st.just(0.0),
     rate=log_uniform(-6.0, 6.0) | st.just(0.0),
     xi0=st.floats(-5.0, 5.0),
-    twin=st.booleans(),
 )
-def test_profile_raises_exactly_on_a_constant(coefs, rate, xi0, twin):
-    num_u, num_1, den_u, den_1 = coefs
-    if twin and den_u != 0.0:
-        num_1 = num_u * den_1 / den_u  # often makes w == 0 exactly
-    if _is_kink(num_u, num_1, den_u, den_1, rate):
-        MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
+def test_profile_raises_exactly_on_a_constant(levels, k, rate, xi0):
+    level, amplitude = levels
+    if amplitude != 0.0 and k != 0.0 and rate != 0.0:
+        p = MobiusExpProfile(level, amplitude, k, rate, xi0)
+        assert {p.left_limit(), p.right_limit()} == {level, level + amplitude}
     else:
         with pytest.raises(ValueError, match="constant"):
-            MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
+            MobiusExpProfile(level, amplitude, k, rate, xi0)
 
 
 def test_profile_overflow_safety_far_out():
-    p = MobiusExpProfile(0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+    p = MobiusExpProfile(0.0, 1.0, 1.0, 1.0, 0.0)
     xi = np.array([-1e6, -1e3, 0.0, 1e3, 1e6])
     with np.errstate(all="raise"):
         vals = p.value(xi)
@@ -91,48 +86,40 @@ def test_profile_overflow_safety_far_out():
 
 
 def test_profile_limits_by_rate_sign():
-    p = MobiusExpProfile(0.0, 1.0, 1.0, 2.0, 1.0, 0.0)
+    p = MobiusExpProfile(0.0, 0.5, 0.5, 1.0, 0.0)
     assert p.left_limit() == 0.5
     assert p.right_limit() == 0.0
-    q = MobiusExpProfile(0.0, 1.0, 1.0, 2.0, -1.0, 0.0)
+    q = MobiusExpProfile(0.0, 0.5, 0.5, -1.0, 0.0)
     assert q.left_limit() == 0.0
     assert q.right_limit() == 0.5
 
 
 def test_profile_rejects_zero_rate():
     with pytest.raises(ValueError, match="constant"):
-        MobiusExpProfile(1.0, 2.0, 1.0, 1.0, 0.0, 0.0)
-
-
-def test_profile_infinite_limit_direction():
-    # denominator dies as u -> 0 while the numerator does not
-    p = MobiusExpProfile(1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
-    assert p.left_limit() == math.inf
-    assert p.right_limit() == 1.0
-    n = MobiusExpProfile(1.0, -1.0, 1.0, 0.0, 1.0, 0.0)
-    assert n.left_limit() == -math.inf
+        MobiusExpProfile(1.0, 2.0, 1.0, 0.0, 0.0)
 
 
 def test_pole_location_and_flags():
-    p = MobiusExpProfile(0.0, 1.0, 1.0, -1.0, 1.0, 0.0)  # pole where u = 1
+    p = MobiusExpProfile(0.0, -1.0, -1.0, 1.0, 0.0)  # pole where u = 1
     assert p.pole_xis() == (0.0,)
     assert bool(p.is_singular(0.0))
     assert not bool(p.is_singular(1.0))
-    shifted = MobiusExpProfile(0.0, 1.0, 1.0, -1.0, 2.0, 3.0)
+    shifted = MobiusExpProfile(0.0, -1.0, -1.0, 2.0, 3.0)
     assert shifted.pole_xis() == (3.0,)
-    no_pole = MobiusExpProfile(0.0, 1.0, 1.0, 1.0, 1.0, 0.0)  # u* = -1
+    no_pole = MobiusExpProfile(0.0, 1.0, 1.0, 1.0, 0.0)
     assert no_pole.pole_xis() == ()
 
 
 @pytest.mark.parametrize(
     "profile",
     [
-        MobiusExpProfile(0.0, 1.0, 1.0, -math.e, 2.0, 3.0),
-        MobiusExpProfile(0.0, 1e-20, 1e-20, -math.e * 1e-20, 2.0, 3.0),
+        MobiusExpProfile(0.0, -1.0 / math.e, -1.0 / math.e, 2.0, 3.0),
+        MobiusExpProfile(0.0, 1e-20, -1e-20, 2.0, 3.0),
+        MobiusExpProfile(1e20, 1.0, -1e20, 2.0, 3.0),
         undriven_solution(ModelParams(1e26, 1.0), 3).profile,
         undriven_solution(ModelParams(1e-6, 1e6), 4).profile,
     ],
-    ids=["unit", "tiny-coefficients", "a1=1e26", "a1=1e-6"],
+    ids=["unit", "tiny-K", "huge-K", "a1=1e26", "a1=1e-6"],
 )
 def test_singular_within_tol_widths_of_pole(profile):
     (pole,) = profile.pole_xis()
@@ -144,45 +131,47 @@ def test_singular_within_tol_widths_of_pole(profile):
 
 def test_pole_stays_singular_below_its_rounding():
     # 1e-12 widths is 1e-18 here, far below the float spacing near xi = 10
-    p = MobiusExpProfile(0.0, 1.0, 1.0, -1.0, 1e6, 10.0)
+    p = MobiusExpProfile(0.0, -1.0, -1.0, 1e6, 10.0)
     assert p.pole_xis() == (10.0,)
     assert bool(p.is_singular(10.0))
     assert not np.any(p.is_singular(np.nextafter(10.0, [0.0, 20.0])))
 
 
+# the stored form L + A/(1 + K*u): K log-uniform over the float range, either sign
+_K = log_uniform(-300.0, 300.0)
+
+
 @settings(deadline=None, max_examples=200)
 @given(
-    num_u=st.one_of(st.just(0.0), log_uniform(-3.0, 3.0)),
-    num_1=st.one_of(st.just(0.0), log_uniform(-3.0, 3.0)),
-    den_u=st.one_of(st.just(0.0), log_uniform(-3.0, 3.0)),
-    den_1=log_uniform(-3.0, 3.0),
+    level=st.floats(-1e3, 1e3),
+    amplitude=log_uniform(-3.0, 3.0),
+    k=_K,
     rate=log_uniform(-3.0, 3.0),
     xi0=st.floats(-5.0, 5.0),
-    k=st.integers(-60, 60),
+    n=st.integers(-60, 60),
 )
-def test_singular_mask_ignores_power_of_two_scaling(num_u, num_1, den_u, den_1, rate, xi0, k):
-    assume(_is_kink(num_u, num_1, den_u, den_1, rate))
-    p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
-    scaled = MobiusExpProfile(*(math.ldexp(c, k) for c in (num_u, num_1, den_u, den_1)), rate, xi0)
-    poles = p.pole_xis()
-    centre = poles[0] if poles else xi0
+def test_singular_mask_ignores_the_levels(level, amplitude, k, rate, xi0, n):
+    # the mask reads K, rate and xi0 only: scaling both levels by 2**n moves nothing
+    p = MobiusExpProfile(level, amplitude, k, rate, xi0)
+    scaled = MobiusExpProfile(math.ldexp(level, n), math.ldexp(amplitude, n), k, rate, xi0)
     widths = np.array([0.0, 0.5, 2.0, 1e3, 1e12, 5e12]) * SINGULAR_TOL
-    xi = centre + np.concatenate([-widths, widths]) / abs(rate)
+    xi = p.centre() + np.concatenate([-widths, widths]) / abs(rate)
     np.testing.assert_array_equal(scaled.is_singular(xi), p.is_singular(xi))
+    assert p.is_singular(xi).any() == (k < 0.0)
 
 
 @settings(deadline=None, max_examples=200)
 @given(
-    num_u=st.floats(-3.0, 3.0),
-    num_1=st.floats(-3.0, 3.0),
-    den_u=st.floats(-3.0, 3.0),
-    den_1=st.floats(-3.0, 3.0),
+    level=st.floats(-3.0, 3.0),
+    amplitude=st.floats(-3.0, 3.0),
+    k=st.floats(-3.0, 3.0),
     rate=st.floats(-3.0, 3.0),
     x=st.floats(-4.0, 4.0),
 )
-def test_first_derivative_matches_finite_difference(num_u, num_1, den_u, den_1, rate, x):
-    assume(abs(den_u) + abs(den_1) > 1e-3 and _is_kink(num_u, num_1, den_u, den_1, rate))
-    p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, 0.0)
+def test_first_derivative_matches_finite_difference(level, amplitude, k, rate, x):
+    # a kink whose centre is a float: rate is not below about 4e-306
+    assume(amplitude != 0.0 and k != 0.0 and abs(rate) > 1e-300)
+    p = MobiusExpProfile(level, amplitude, k, rate, 0.0)
     h = 1e-5
     pts = np.array([x - h, x, x + h])
     # one order-2 pass gives what the four single-purpose views give, bit for bit
@@ -209,19 +198,19 @@ _B = kinks._BLOCK
 
 @settings(deadline=None, max_examples=60)
 @given(
-    coefs=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
-    rate=st.floats(-3.0, 3.0),
+    level=st.floats(-3.0, 3.0),
+    amplitude=log_uniform(-3.0, 3.0),
+    k=_K,
+    rate=log_uniform(-1.0, 1.0),
     xi0=st.floats(-2.0, 2.0),
     n=st.sampled_from((0, 1, _B - 1, _B, _B + 1, 3 * _B + 5)),
     order=st.sampled_from((0, 1, 2)),
     two_d=st.booleans(),
 )
-def test_kernel_blocks_match_one_pass(coefs, rate, xi0, n, order, two_d):
-    num_u, num_1, den_u, den_1 = coefs
-    assume(_is_kink(num_u, num_1, den_u, den_1, rate))
-    p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
+def test_kernel_blocks_match_one_pass(level, amplitude, k, rate, xi0, n, order, two_d):
+    p = MobiusExpProfile(level, amplitude, k, rate, xi0)
     # spans the pole region and far tails on either side
-    xi = np.linspace(-50.0, 50.0, n)
+    xi = p.centre() + np.linspace(-50.0, 50.0, n) / abs(rate)
     if two_d and n % 2 == 0:
         xi = xi.reshape(2, n // 2)
     got = p.kernel(xi, order)
@@ -232,24 +221,22 @@ def test_kernel_blocks_match_one_pass(coefs, rate, xi0, n, order, two_d):
         np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
 
-_signed_coef = log_uniform(-6.0, 6.0) | st.just(0.0)
-
-
 @settings(deadline=None, max_examples=300)
 @given(
-    coefs=st.tuples(*[_signed_coef] * 4),
+    level=st.floats(-3.0, 3.0),
+    amplitude=log_uniform(-3.0, 3.0),
+    k=_K,
     rate=log_uniform(-3.0, 3.0),
     xi0=st.floats(-5.0, 5.0),
     widths=st.lists(st.floats(-60.0, 60.0), max_size=20),
 )
-def test_den_at_matches_kernel_bits(coefs, rate, xi0, widths):
+def test_den_at_matches_kernel_bits(level, amplitude, k, rate, xi0, widths):
     # z = +-0 at xi0 (the sign of rate picks which), the far tails at
-    # +-800 widths, the pole itself and random points around xi0
-    num_u, num_1, den_u, den_1 = coefs
-    assume(_is_kink(num_u, num_1, den_u, den_1, rate))
-    p = MobiusExpProfile(num_u, num_1, den_u, den_1, rate, xi0)
-    points = [xi0, xi0 + 800.0 / rate, xi0 - 800.0 / rate, *p.pole_xis()]
-    points += [xi0 + t / abs(rate) for t in widths]
+    # +-800 widths, the centre (a pole when K < 0) and random points around it
+    p = MobiusExpProfile(level, amplitude, k, rate, xi0)
+    centre = p.centre()
+    points = [xi0, xi0 + 800.0 / rate, xi0 - 800.0 / rate, centre]
+    points += [centre + t / abs(rate) for t in widths]
     got = np.array([p.den_at(x) for x in points])
     assert all(type(p.den_at(x)) is float for x in points)
     for x, g in zip(points, got):
@@ -509,18 +496,13 @@ _ZERO_FIELD_PARTICULAR = {("first", "+"): 4, ("first", "-"): 3, ("second", "+"):
                           ("second", "-"): 2}
 
 
-def _assert_levels_of_particular(member, particular, alpha):
-    """Lambda moves neither level: both are the particular kink's.
+def _assert_levels_of_particular(member, particular):
+    """Lambda moves neither level: both are the particular kink's, bit for bit.
 
-    The member scales the coefficient pair that dominates as alpha*xi ->
-    -inf by g, so the level there is (g*n)/(g*d): three roundings against
-    the particular's one, within 4 ulps of n/d.  The other level is the
-    particular's bit for bit.
+    The member scales only K, and the levels L and L + A are stored.
     """
-    exact, scaled = ("right_limit", "left_limit") if alpha > 0.0 else ("left_limit", "right_limit")
-    assert getattr(member, exact).hex() == getattr(particular, exact).hex()
-    got, want = getattr(member, scaled), getattr(particular, scaled)
-    assert abs(got - want) <= 4.0 * math.ulp(want)
+    assert member.left_limit.hex() == particular.left_limit.hex()
+    assert member.right_limit.hex() == particular.right_limit.hex()
 
 
 @pytest.mark.parametrize("fig_id", sorted(FIGURES))
@@ -528,10 +510,9 @@ def test_lambda_members_keep_the_particular_levels_on_figure_lambdas(fig_id):
     spec = FIGURES[fig_id]
     setup = driven_setup(spec.a1, spec.b1, spec.epsilon)
     particular = driven_solution(setup, spec.case, spec.branch, spec.xi0)
-    alpha = setup.rate(spec.case) / SQRT2
     for lam in spec.lambdas:
         member = lambda_driven_solution(setup, spec.case, spec.branch, float(lam), spec.xi0)
-        _assert_levels_of_particular(member, particular, alpha)
+        _assert_levels_of_particular(member, particular)
 
 
 @settings(deadline=None, max_examples=200)
@@ -554,7 +535,7 @@ def test_lambda_members_keep_the_particular_levels(a1, b1, t, case, branch, vari
     member = lambda_zero_field_solution(params, branch, variant, -s / sa * k)
     particular = undriven_solution(params, _ZERO_FIELD_PARTICULAR[(variant, branch)])
     assert member.forced_rho == particular.forced_rho
-    _assert_levels_of_particular(member, particular, sa / SQRT2)
+    _assert_levels_of_particular(member, particular)
     window = epsilon_admissible_interval(a1, b1, case, branch)
     setup = driven_setup(a1, b1, window.lower + t * (window.upper - window.lower))
     try:
@@ -564,7 +545,7 @@ def test_lambda_members_keep_the_particular_levels(a1, b1, t, case, branch, vari
     member = lambda_driven_solution(setup, case, branch, lam_b * k)
     particular = driven_solution(setup, case, branch)
     assert member.forced_rho == particular.forced_rho
-    _assert_levels_of_particular(member, particular, setup.rate(case) / SQRT2)
+    _assert_levels_of_particular(member, particular)
 
 
 def _unit_and_scaled(kind, a1, b1, index, case, branch, variant, t, ratio):
@@ -746,16 +727,23 @@ def test_constructors_reject_non_finite_center(family, xi0):
 
 
 def test_profile_rejects_non_finite_coefficients():
-    for k in range(6):
+    for k in range(5):
         for bad in (math.nan, math.inf, -math.inf):
-            fields = [1.0, 2.0, 1.0, 1.0, 1.0, 0.0]
+            fields = [1.0, 2.0, 1.0, 1.0, 0.0]
             fields[k] = bad
             with pytest.raises(ValueError, match="profile coefficients must be finite"):
                 MobiusExpProfile(*fields)
+    # each field is finite, but the level L + A is not
+    with pytest.raises(ValueError, match="profile coefficients must be finite"):
+        MobiusExpProfile(1e308, 1e308, 1.0, 1.0, 0.0)
+    # nor is the centre xi0 - log|K|/rate
+    for k, rate, xi0 in ((1e300, 1e-307, 0.0), (-1e-300, -1e-307, 1.0), (1e-300, 1e-305, 1.7e308)):
+        with pytest.raises(ValueError, match="centre is beyond the float range"):
+            MobiusExpProfile(0.0, 1.0, k, rate, xi0)
 
 
 def test_lambda_overflowing_a_coefficient_is_rejected():
-    # lambda itself is finite, but 4*lambda*r*r/sqrt(b1) overflows
+    # lambda itself is finite, but 2*lambda*r overflows, so g and K are nan
     with pytest.raises(ValueError, match="profile coefficients must be finite"):
         lambda_driven_solution(_SETUP, "I", "+", 1e308)
 
