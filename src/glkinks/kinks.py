@@ -441,8 +441,11 @@ def lambda_zero_field_solution(
     _check_lambda(lam, -s / sa)
     c1, c2, k = _undriven_riccati(params, _OTHER_VARIANT[variant], s)
     forced = ModelParams(params.a1, params.b1, undriven_rho(params.a1, s))
+    # g = 1 - lam_b/lam as (t + s)/t; where t overflows, g rounds to 1 and
+    # the member is its particular kink
     t = lam * sa
-    profile = _riccati_profile(c1, c2, 0.0, _member_k(k, -c2, sa / SQRT2, (t + s) / t), xi0)
+    g = (t + s) / t if math.isfinite(t) else 1.0
+    profile = _riccati_profile(c1, c2, 0.0, _member_k(k, -c2, sa / SQRT2, g), xi0)
     tag = "+" if s > 0 else "-"
     return KinkSolution(f"lambda-zero-field-{variant}{tag}", forced, None, lam, profile)
 
@@ -468,10 +471,12 @@ def lambda_driven_solution(
         setup.a1, setup.b1, setup.rho(c, s), gamma1=1.0, eta=setup.eta_times_gamma1
     )
     # g = 1 - lam_b/lam as (t - s*sqrt(b1))/t: through the rounded lam_b it
-    # errs 6.9e-14 of the levels at figure 4's lam = 0.53, against 1.5e-15
+    # errs 6.9e-14 of the levels at figure 4's lam = 0.53, against 1.5e-15.
+    # Where t overflows, g rounds to 1 and the member is the particular kink
     t = 2.0 * lam * r
+    g = (t - s * sb) / t if math.isfinite(t) else 1.0
     c2 = s * r / SQRT2
-    k = _member_k(0.5, -c2, r / SQRT2, (t - s * sb) / t)
+    k = _member_k(0.5, -c2, r / SQRT2, g)
     profile = _riccati_profile(-s * sb / SQRT2, c2, -setup.epsilon, k, xi0)
     return KinkSolution(f"lambda-{c}{'+' if s > 0 else '-'}", forced, setup, lam, profile)
 

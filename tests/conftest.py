@@ -1,6 +1,13 @@
-"""Shared test helpers: family roster, RK4 comparison recipe, float strategy, kernel reference."""
+"""Shared test helpers: family roster, RK4 comparison recipe, float strategy, kernel reference.
+
+Also R, the 40-digit mpmath reference perfbench/reference.py, loaded once
+by path for every suite under tests/.
+"""
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +18,18 @@ from glkinks.errors import NoCrossing
 from glkinks.kinks import KinkSolution, catalogue
 from glkinks.model import ModelParams
 from glkinks.verify import compare, integrate_second_order
+
+
+def _load_reference():
+    spec = importlib.util.spec_from_file_location(
+        "reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+R = _load_reference()
 
 
 def log_uniform(lo, hi):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import glkinks
 from glkinks import cli
-from glkinks.cli import _csv_rows, main
+from glkinks.cli import _BLOCK_ROWS, _VECTOR_ROWS, _csv_rows, main
 from glkinks.verify import integrate_second_order
 
 _RHO_PSI1 = "2.1213203435596428"  # 17 significant digits of 1.5*sqrt(2)
@@ -330,6 +331,17 @@ def test_overflowing_drive_is_usage_error(capsys, argv):
     assert "drive a1*eps - b1*eps^3 is not finite" in err
 
 
+def test_lambda_overflowing_its_product_prints_the_particular_kink(capsys):
+    # lambda*sqrt(a1) overflows: the member is undriven-1, row for row
+    grid = ["--a1", "4", "--b1", "0.5", "--grid=-5:5:11"]
+    rc, member, _ = _run(capsys, "eval", *grid, "--branch", "+", "--variant", "second",
+                         "--lambda", "1e308")
+    assert rc == 0
+    rc, particular, _ = _run(capsys, "eval", *grid, "--index", "1")
+    assert rc == 0
+    assert member.split("xi,psi,is_singular\n")[1] == particular.split("xi,psi,is_singular\n")[1]
+
+
 @pytest.mark.parametrize(
     "flag,argv",
     [
@@ -429,14 +441,14 @@ def _csv_tables(draw):
 @given(_csv_tables())
 @example((np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)))
 def test_csv_rows_match_per_row_formatting(table):
-    assert _csv_rows(*table) == _reference_rows(*table)
+    assert "".join(_csv_rows(*table)) == _reference_rows(*table)
 
 
 def test_csv_rows_edge_floats():
     xi = np.array([-0.0, 5e-324, 0.1, 1e-300, 9007199254740993.0, 1.7976931348623157e308])
     values = xi[::-1].copy()
     singular = np.array([False, True, False, False, True, False])
-    rows = _csv_rows(xi, values, singular)
+    rows = "".join(_csv_rows(xi, values, singular))
     assert rows == _reference_rows(xi, values, singular)
     assert rows == (
         "-0,1.7976931348623157e+308,0\n"
@@ -446,6 +458,86 @@ def test_csv_rows_edge_floats():
         "9007199254740992,,1\n"
         "1.7976931348623157e+308,-0,0\n"
     )
+
+
+def _dyadic_ties(rng, n):
+    """Floats whose exact decimal has 18 significant digits ending in 5.
+
+    Their %.17g sits on a tie and must round half to even.
+    """
+    bits = rng.integers(1, 54, n)
+    mantissa = (rng.integers(0, 2**53, n, dtype=np.int64) >> (53 - bits)) | 1
+    x = np.ldexp(mantissa.astype(float), rng.integers(-80, 40, n))
+
+    def tie(v):
+        digits = Decimal(v).as_tuple().digits
+        return len(digits) == 18 and digits[-1] == 5
+
+    return np.array([v for v in x.tolist() if tie(v)])
+
+
+@pytest.fixture(scope="module")
+def hard_floats():
+    """Floats where an exact %.17g is easy to get wrong, by kind."""
+    rng = np.random.default_rng(17)
+    powers = 10.0 ** np.arange(-8, 19)
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    return {
+        "ties": _dyadic_ties(rng, 20_000),
+        "powers": np.concatenate([near, -near]),
+        "special": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308,
+                             2.2250738585072014e-308, 1e-6, 1e17, -1.7976931348623157e308]),
+    }
+
+
+def _draw_column(rng, kind, n, hard):
+    if kind == "bits":
+        return rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64).view(float)
+    if kind == "log-uniform":
+        return rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-8.0, 18.0, n)
+    if kind == "subnormal":
+        return rng.integers(-(2**52), 2**52, n).astype(float) * 5e-324
+    # a smooth column (a grid) salted with one kind of hard float
+    column = np.linspace(-15.0, 15.0, n)
+    salt = rng.choice(hard[kind], n)
+    at = rng.random(n) < 0.3
+    column[at] = salt[at]
+    return column
+
+
+_BIG_SIZES = sorted({_VECTOR_ROWS, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                     2 * _BLOCK_ROWS + 7})
+_KINDS = ("bits", "log-uniform", "subnormal", "ties", "powers", "special")
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from(_BIG_SIZES),
+    kinds=st.tuples(st.sampled_from(_KINDS), st.sampled_from(_KINDS)),
+    marked=st.sampled_from(("none", "first", "last", "adjacent", "all-but-one", "random")),
+)
+def test_vectorised_csv_rows_match_per_row_formatting(hard_floats, seed, n, kinds, marked):
+    # tables of _VECTOR_ROWS rows or more take the vectorised formatter, a
+    # block of _BLOCK_ROWS rows at a time
+    rng = np.random.default_rng(seed)
+    xi = _draw_column(rng, kinds[0], n, hard_floats)
+    values = _draw_column(rng, kinds[1], n, hard_floats)
+    singular = np.zeros(n, dtype=bool)
+    i = int(rng.integers(0, n - 1))
+    if marked == "first":
+        singular[0] = True
+    elif marked == "last":
+        singular[-1] = True
+    elif marked == "adjacent":
+        singular[[i, i + 1]] = True
+        singular[_BLOCK_ROWS - 1 : _BLOCK_ROWS + 1] = True  # across a block boundary
+    elif marked == "all-but-one":
+        singular[:] = True
+        singular[i] = False
+    elif marked == "random":
+        singular[rng.random(n) < 0.1] = True
+    assert "".join(_csv_rows(xi, values, singular)) == _reference_rows(xi, values, singular)
 
 
 # --------------------------------------------------------------- figure

@@ -1,15 +1,13 @@
 """general_riccati against the lambda constructors and the 40-digit reference.
 
-The reference is perfbench/reference.py, loaded by path: the solution of
+The reference is perfbench/reference.py, loaded by conftest: the solution of
 y' = c1*y^2 + c2*y through y(xi0) = y0 is its Profile with
 d0 = -c1*y0/(c1*y0 + c2), n = -c2*d0/c1 and no lambda.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -22,13 +20,8 @@ from glkinks.factorization import compatible_riccati, factor_driven, factor_undr
 from glkinks.kinks import catalogue, general_riccati
 from glkinks.verify import verification_grid
 
-from conftest import log_uniform
+from conftest import R, log_uniform
 
-_SPEC = importlib.util.spec_from_file_location(
-    "reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-)
-R = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(R)
 
 # Acceptance bounds: the relative error at >= 1 width from the pole, and
 # the relative error times the distance to the pole in widths at 1e-6 to

@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-import importlib.util
 import os
-from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from conftest import R
 from golden_cli import GOLDEN_DIR, ROSTER, golden_path, run, verify_skeleton
-
-_SPEC = importlib.util.spec_from_file_location(
-    "reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-)
-R = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(R)
 
 
 @pytest.mark.parametrize("name,argv,kind,code", ROSTER, ids=[entry[0] for entry in ROSTER])

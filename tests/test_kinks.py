@@ -742,10 +742,29 @@ def test_profile_rejects_non_finite_coefficients():
             MobiusExpProfile(0.0, 1.0, k, rate, xi0)
 
 
-def test_lambda_overflowing_a_coefficient_is_rejected():
-    # lambda itself is finite, but 2*lambda*r overflows, so g and K are nan
-    with pytest.raises(ValueError, match="profile coefficients must be finite"):
-        lambda_driven_solution(_SETUP, "I", "+", 1e308)
+def _bits(profile):
+    return tuple(float(x).hex() for x in dataclasses.astuple(profile))
+
+
+@pytest.mark.parametrize("lam", [1e308, -1e308])
+def test_lambda_overflowing_its_product_is_the_particular_kink(lam):
+    # lambda is finite, but 2*lambda*r (driven) or lambda*sqrt(a1)
+    # (zero-field) overflows: g = 1 - lam_b/lam rounds to 1 there, and each
+    # member is its particular kink, bit for bit
+    for case in ("I", "II"):
+        for branch in ("+", "-"):
+            assert math.isinf(2.0 * lam * _SETUP.rate(case))
+            member = lambda_driven_solution(_SETUP, case, branch, lam, 0.3)
+            particular = driven_solution(_SETUP, case, branch, 0.3)
+            assert _bits(member.profile) == _bits(particular.profile)
+    params = ModelParams(4.0, 0.5)
+    assert math.isinf(lam * math.sqrt(params.a1))
+    particular_index = {"first+": 4, "first-": 3, "second+": 1, "second-": 2}
+    for variant in ("first", "second"):
+        for branch in ("+", "-"):
+            member = lambda_zero_field_solution(params, branch, variant, lam, -0.7)
+            particular = undriven_solution(params, particular_index[variant + branch], -0.7)
+            assert _bits(member.profile) == _bits(particular.profile)
 
 
 # ------------------------------------------------ catalogue and public names
